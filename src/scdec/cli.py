@@ -489,8 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scdec", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on worker threads (results never depend on it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("layout", help="dump the lattice geometry as JSON")

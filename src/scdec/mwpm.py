@@ -25,6 +25,11 @@ from .noise import ErrorConfig, Syndrome
 
 _INF = 10 ** 9
 
+# ``_pack_bits`` keys one sector's defects as a uint64, and a sector holds
+# (d*d - 1) / 2 ancillas, so d = 11 (60 ancillas) is the widest that fits.
+_KEY_BITS = 64
+MAX_DISTANCE = 11
+
 
 class NoPerfectMatching(ValueError):
     """The graph admits no perfect matching."""
@@ -147,6 +152,7 @@ class _TypeTables:
     path_mask: list           # path_mask[u][v]: data-qubit set as a bit-int
     bnd_mask: list            # bnd_mask[u]: boundary path data bits
     cut_mask: int             # data bits of the logical cut this plane crosses
+    inter: list               # inter[u]: bit-int of v with dist < bnd[u] + bnd[v]
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +221,13 @@ def _tables(d: int):
         # Z-ancilla matchings emit X corrections, crossing the row cut.
         cut = layout.logical_cut_x if t == ANC_X else layout.logical_cut_z
         cut_mask = sum(1 << q for q in cut)
-        out.append(_TypeTables(offset, dist, bnd, path_mask, bnd_mask, cut_mask))
+        dist_l = dist.tolist()
+        bnd_l = bnd.tolist()
+        inter = [sum(1 << v for v in range(k)
+                     if v != u and dist_l[u][v] < bnd_l[u] + bnd_l[v])
+                 for u in range(k)]
+        out.append(_TypeTables(offset, dist, bnd, path_mask, bnd_mask, cut_mask,
+                               inter))
     return tuple(out)
 
 
@@ -236,55 +248,52 @@ class _DefectCache:
         if hit is not None:
             return hit
         t = self.tables
-        defects = []
-        key = defect_key
-        while key:
-            defects.append((key & -key).bit_length() - 1)
-            key &= key - 1
         mask = 0
-        for comp in _interaction_components(defects, t.dist, t.bnd):
-            idx = np.array(comp, dtype=np.intp)
-            dist = t.dist[np.ix_(idx, idx)]
+        for comp in _components(defect_key, t.inter):
+            if not comp & (comp - 1):   # a lone defect takes its boundary route
+                mask ^= t.bnd_mask[comp.bit_length() - 1]
+                continue
+            members = []
+            while comp:
+                members.append((comp & -comp).bit_length() - 1)
+                comp &= comp - 1
+            idx = np.array(members, dtype=np.intp)
+            dist = t.dist[idx[:, None], idx]
             bnd = t.bnd[idx]
-            if len(comp) <= _kernels.MATCH_DP_MAX:
+            if len(members) <= _kernels.MATCH_DP_MAX:
                 pair = _kernels.match_defects(dist, bnd)
             else:
                 pair = _large_matching(dist, bnd)
-            for i, j in enumerate(pair):
+            for i, j in enumerate(pair.tolist()):
                 if j < 0:
-                    mask ^= t.bnd_mask[comp[i]]
+                    mask ^= t.bnd_mask[members[i]]
                 elif j > i:
-                    mask ^= t.path_mask[comp[i]][comp[j]]
+                    mask ^= t.path_mask[members[i]][members[j]]
         result = (mask, bin(mask & t.cut_mask).count("1") & 1)
         if len(self.store) < self.MAX_ENTRIES:
             self.store[defect_key] = result
         return result
 
 
-def _interaction_components(defects, dist, bnd):
-    """Split defects into groups that some optimal matching never crosses.
+def _components(defects: int, inter: list):
+    """Yield the interaction components of a defect bit-int, lowest first.
 
     When ``dist[u, v] >= bnd[u] + bnd[v]`` a matched pair (u, v) can be
     replaced by two boundary routes without increasing the total weight, so
-    the minimum weight is preserved by matching the union-find components of
-    the complementary relation independently.  Components come out sorted.
+    the minimum weight is preserved by matching the connected components of
+    the complementary relation, ``inter``, independently.
     """
-    parent = {u: u for u in defects}
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    for i, u in enumerate(defects):
-        for v in defects[i + 1:]:
-            if dist[u, v] < bnd[u] + bnd[v]:
-                parent[find(u)] = find(v)
-    comps = {}
-    for u in defects:
-        comps.setdefault(find(u), []).append(u)
-    return [sorted(c) for _, c in sorted((min(c), c) for c in comps.values())]
+    while defects:
+        comp = frontier = defects & -defects
+        defects ^= comp
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = inter[low.bit_length() - 1] & defects
+            defects ^= new
+            comp |= new
+            frontier |= new
+        yield comp
 
 
 def _large_matching(dist: np.ndarray, bnd: np.ndarray) -> np.ndarray:
@@ -307,6 +316,11 @@ class MwpmDecoder:
     """Stateful decoder for one layout; caches matchings per defect pattern."""
 
     def __init__(self, layout: Layout):
+        widest = max(layout.n_anc_x, layout.n_anc - layout.n_anc_x)
+        if widest > _KEY_BITS:
+            raise ValueError(
+                f"MWPM supports distances up to {MAX_DISTANCE}: d={layout.d} "
+                f"has {widest} ancillas per sector, more than {_KEY_BITS}")
         self.layout = layout
         tx, tz = _tables(layout.d)
         self._cache_x = _DefectCache(tx)
@@ -353,8 +367,8 @@ def _bits_to_int(bits) -> int:
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
     """Rows of up to 64 bits packed into uint64 keys."""
     n = bits.shape[1]
-    if n > 64:
-        raise ValueError("defect pattern wider than 64 bits")
+    if n > _KEY_BITS:
+        raise ValueError(f"defect pattern wider than {_KEY_BITS} bits")
     shifts = np.arange(n, dtype=np.uint64)
     return (bits.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
 

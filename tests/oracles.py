@@ -119,6 +119,66 @@ def brute_force_boundary_matching(dist, bnd):
     return rec(tuple(range(k)))
 
 
+def subset_dp_matching(dist, bnd):
+    """Pair array of the bottom-up subset DP over all 2^k defect subsets.
+
+    Same contract and tie-break as ``match_defects``: for the lowest defect
+    of each subset the boundary is tried first, then partners in ascending
+    index, keeping the first strict improvement.
+    """
+    dist = [[int(w) for w in row] for row in dist]
+    bnd = [int(w) for w in bnd]
+    k = len(bnd)
+    size = 1 << k
+    f = [0] * size
+    choice = [0] * size
+    for mask in range(1, size):
+        u = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << u)
+        best = bnd[u] + f[rest]
+        best_c = -1
+        for v in range(u + 1, k):
+            if rest >> v & 1:
+                cand = dist[u][v] + f[rest ^ (1 << v)]
+                if cand < best:
+                    best = cand
+                    best_c = v
+        f[mask] = best
+        choice[mask] = best_c
+    pair = [-1] * k
+    mask = size - 1
+    while mask:
+        u = (mask & -mask).bit_length() - 1
+        v = choice[mask]
+        mask ^= 1 << u
+        if v >= 0:
+            pair[u] = v
+            pair[v] = u
+            mask ^= 1 << v
+    return pair
+
+
+def union_find_components(defects, dist, bnd):
+    """Sorted defect groups joined wherever ``dist[u][v] < bnd[u] + bnd[v]``,
+    ordered by their lowest defect."""
+    parent = {u: u for u in defects}
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for i, u in enumerate(defects):
+        for v in defects[i + 1:]:
+            if int(dist[u][v]) < int(bnd[u]) + int(bnd[v]):
+                parent[find(u)] = find(v)
+    comps = {}
+    for u in defects:
+        comps.setdefault(find(u), []).append(u)
+    return sorted(sorted(c) for c in comps.values())
+
+
 def brute_force_perfect_matching(n, weights):
     """Minimum-weight perfect matching weight by enumeration.
 

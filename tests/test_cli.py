@@ -149,6 +149,21 @@ def test_eval_mwpm_reproducible_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_eval_mwpm_beyond_max_distance_is_exit_3(tmp_path, capsys, monkeypatch):
+    import scdec.eval
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a shot was sampled")
+
+    monkeypatch.setattr(scdec.eval, "sample_depolarizing_bits", no_sampling)
+    out = tmp_path / "c.csv"
+    code, _, err = run(["eval", "--decoder", "mwpm", "-d", "13",
+                        "--out", str(out)], capsys)
+    assert code == 3
+    assert "up to 11" in err
+    assert not out.exists()
+
+
 def test_fit_on_synthetic_curve(tmp_path, capsys):
     eps = np.array(default_eps_grid(10))
     fit = FitResult(0.0825, 1.856, 0.9, 0.0)

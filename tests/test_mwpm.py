@@ -11,10 +11,15 @@ from scdec.mwpm import (
     min_weight_perfect_matching,
 )
 from scdec.noise import Syndrome, compute_syndrome_bits, sample_depolarizing_bits
-from scdec._kernels import match_defects
+from scdec._kernels import MATCH_DP_MAX, match_defects, python_backend
 from scdec._kernels._pykernels import match_weight
 
-from oracles import brute_force_boundary_matching, brute_force_perfect_matching
+from oracles import (
+    brute_force_boundary_matching,
+    brute_force_perfect_matching,
+    subset_dp_matching,
+    union_find_components,
+)
 
 
 # ------------------------------------------------- generic graph matching --
@@ -131,6 +136,62 @@ def test_match_defects_equals_bruteforce_with_boundary():
         got = match_weight(d, bnd, pair)
         want = brute_force_boundary_matching(d.tolist(), bnd.tolist())
         assert got == want, trial
+
+
+def test_python_matcher_pairs_equal_subset_dp_on_ties():
+    """Identical pair arrays, not only weights: weights in 0..3 make ties
+    common, so any change in the order options are tried would show."""
+    rng = np.random.default_rng(11)
+    for k in range(13):
+        for trial in range(40):
+            d = rng.integers(0, 4, size=(k, k))
+            d = np.triu(d, 1) + np.triu(d, 1).T
+            bnd = rng.integers(0, 4, size=k)
+            got = python_backend.match_defects(d, bnd).tolist()
+            assert got == subset_dp_matching(d, bnd), (k, trial)
+
+
+def _lattice_defect_sets():
+    """(tables, sorted defect list) per sector of sampled syndromes at
+    d = 5, 7, 9 and eps in {0.1, 0.3}.  Shot counts keep the exhaustive
+    oracle, which visits all 2^k subsets, to a few seconds in all."""
+    from scdec.mwpm import _tables
+
+    shots = {(5, 0.1): 200, (5, 0.3): 200, (7, 0.1): 100, (7, 0.3): 30,
+             (9, 0.1): 40, (9, 0.3): 2}
+    for (d, eps), n in shots.items():
+        lay = build_layout(d)
+        xb, zb = sample_depolarizing_bits(lay, eps, 23, 0, 0, n)
+        syn = compute_syndrome_bits(lay, xb, zb)
+        nx = lay.n_anc_x
+        for tab, cols in zip(_tables(d), (syn[:, :nx], syn[:, nx:])):
+            for row in cols:
+                yield tab, np.flatnonzero(row).tolist()
+
+
+def test_bitmask_components_equal_union_find():
+    from scdec.mwpm import _components
+
+    for tab, defects in _lattice_defect_sets():
+        key = sum(1 << u for u in defects)
+        got = [[u for u in defects if c >> u & 1]
+               for c in _components(key, tab.inter)]
+        assert got == union_find_components(defects, tab.dist, tab.bnd), defects
+
+
+def test_python_matcher_pairs_equal_subset_dp_on_lattice_components():
+    checked = 0
+    for tab, defects in _lattice_defect_sets():
+        for comp in union_find_components(defects, tab.dist, tab.bnd):
+            if len(comp) > MATCH_DP_MAX:
+                continue  # matched by the blossom fallback, not the DP
+            idx = np.array(comp, dtype=np.intp)
+            dist = tab.dist[np.ix_(idx, idx)]
+            bnd = tab.bnd[idx]
+            got = python_backend.match_defects(dist, bnd).tolist()
+            assert got == subset_dp_matching(dist, bnd), comp
+            checked += 1
+    assert checked > 1000
 
 
 # ------------------------------------------------------------- decoding --
