@@ -324,28 +324,36 @@ def cmd_cost(args) -> int:
     return 0
 
 
+def _read_table(path: str, what: str, columns):
+    """(comment lines, header cells, data lines) of a CSV table whose header
+    names every one of ``columns``; blank lines are dropped."""
+    if not os.path.exists(path):
+        raise MissingInput(f"{what} not found: {path}")
+    with open(path) as fh:
+        lines = [l.rstrip("\n") for l in fh if l.strip()]
+    notes = [l for l in lines if l.startswith("#")]
+    body = [l for l in lines if not l.startswith("#")]
+    if not body:
+        raise ConfigError(f"{what} has no header row")
+    header = body[0].split(",")
+    for col in columns:
+        if col not in header:
+            raise ConfigError(f"column not found: {col!r}")
+    return notes, header, body[1:]
+
+
 def _cmd_cost_budget_report(args) -> int:
     """Optimal distance per cost budget, from joined sweep rows."""
     from .eval import FitResult, default_eps_grid
 
-    if not os.path.exists(args.budget_report):
-        raise MissingInput(f"sweep file not found: {args.budget_report}")
+    columns = ("distance", args.cost_col, "p_th", "slope", "c", "status")
+    _, header, body = _read_table(args.budget_report, "sweep file", columns)
     if not args.budgets:
         raise ConfigError("--budgets is required with --budget-report")
     budgets = [float(b) for b in args.budgets.split(",") if b]
-    with open(args.budget_report) as fh:
-        lines = [l.rstrip("\n") for l in fh if l.strip()]
-    body = [l for l in lines if not l.startswith("#")]
-    if not body:
-        raise ConfigError("sweep file has no header row")
-    header = body[0].split(",")
-    try:
-        idx = {k: header.index(k)
-               for k in ("distance", args.cost_col, "p_th", "slope", "c", "status")}
-    except ValueError as exc:
-        raise ConfigError(f"column not found: {exc}") from None
+    idx = {k: header.index(k) for k in columns}
     entries = []
-    for line in body[1:]:
+    for line in body:
         cells = line.split(",")
         if cells[idx["status"]] != "ok":
             continue
@@ -449,22 +457,12 @@ def _sweep_cell(cfg, layout, trained, n1, n2, transfer, rotated, bits,
 
 
 def cmd_pareto(args) -> int:
-    if not os.path.exists(args.input):
-        raise MissingInput(f"input file not found: {args.input}")
-    with open(args.input) as fh:
-        lines = [l.rstrip("\n") for l in fh]
-    note = [l for l in lines if l.startswith("#")]
-    body = [l for l in lines if l and not l.startswith("#")]
-    if not body:
-        raise ConfigError("input has no header row")
-    header = body[0].split(",")
-    try:
-        ci = header.index(args.cost_col)
-        pi = header.index(args.perf_col)
-    except ValueError as exc:
-        raise ConfigError(f"column not found: {exc}") from None
+    note, header, body = _read_table(args.input, "input file",
+                                     (args.cost_col, args.perf_col))
+    ci = header.index(args.cost_col)
+    pi = header.index(args.perf_col)
     rows = []
-    for line in body[1:]:
+    for line in body:
         cells = line.split(",")
         try:
             rows.append((float(cells[ci]), float(cells[pi]), line))
@@ -472,7 +470,7 @@ def cmd_pareto(args) -> int:
             continue  # error-marked or incomplete cells are not comparable
     front = hwcost.pareto_front([(c, p) for c, p, _ in rows])
     front_set = set(front)
-    out_lines = note + [body[0]]
+    out_lines = note + [",".join(header)]
     out_lines += [line for c, p, line in rows if (c, p) in front_set]
     text = "\n".join(out_lines) + "\n"
     if args.out:

@@ -25,12 +25,13 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import ped
-from .lattice import Layout, cut_parities
+from .lattice import Layout
 from .mwpm import MwpmDecoder
 from .nn.config import NetworkConfig, QuantizedWeights
 from .nn.fixed import forward_fixed_batch
 from .nn.forward import forward_float_batch
 from .noise import EVAL_STREAM_BASE, compute_syndrome_bits, sample_depolarizing_bits
+from .train import target_bits
 
 # two-sided 99.9% normal quantile, used for all confidence intervals
 Z999 = 3.2905267314919255
@@ -153,7 +154,9 @@ def benchmark(decoder, layout: Layout, eps_list, shots: int, seed: int,
         stream = EVAL_STREAM_BASE + i
         while done < shots:
             n = min(_CHUNK, shots - done)
-            x, z, syn, tx, tz = _sample_shots(layout, eps, seed, stream, done, n)
+            x, z = sample_depolarizing_bits(layout, eps, seed, stream, done, n)
+            syn = compute_syndrome_bits(layout, x, z)
+            tx, tz = target_bits(layout, x, z, syn)
             pred = decoder.predict(syn)
             if fail_mode == "either":
                 bad = (pred[:, 0] != tx) | (pred[:, 1] != tz)
@@ -165,14 +168,6 @@ def benchmark(decoder, layout: Layout, eps_list, shots: int, seed: int,
             done += n
         points.append(BenchmarkPoint.from_counts(eps, failures, shots))
     return points
-
-
-def _sample_shots(layout, eps, seed, stream, shot0, n):
-    x, z = sample_depolarizing_bits(layout, eps, seed, stream, shot0, n)
-    syn = compute_syndrome_bits(layout, x, z)
-    alx, alz = cut_parities(layout, x, z)
-    plx, plz = ped.decode_cut_parities(layout, syn)
-    return x, z, syn, (alx ^ plx).astype(np.uint8), (alz ^ plz).astype(np.uint8)
 
 
 def pseudo_threshold(points):

@@ -36,113 +36,6 @@ class NoPerfectMatching(ValueError):
 
 
 @dataclass(frozen=True)
-class MatchingGraph:
-    """Defect ancillas plus one virtual boundary node per defect.
-
-    Nodes ``0 .. n_defects-1`` are defects, ``n_defects .. 2*n_defects-1``
-    their virtual boundary partners.  ``edges`` holds ``(u, v, weight)`` with
-    non-negative integer weights; boundary-boundary edges have weight 0.
-    """
-
-    n_defects: int
-    edges: tuple
-
-    @property
-    def n_nodes(self) -> int:
-        return 2 * self.n_defects
-
-    @classmethod
-    def from_weights(cls, dist: np.ndarray, bnd: np.ndarray) -> "MatchingGraph":
-        """Complete defect graph from pairwise and boundary weights."""
-        k = len(bnd)
-        edges = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                edges.append((i, j, int(dist[i][j])))
-                edges.append((k + i, k + j, 0))
-            edges.append((i, k + i, int(bnd[i])))
-        return cls(k, tuple(edges))
-
-
-def min_weight_perfect_matching(graph: MatchingGraph) -> set:
-    """Globally minimum-weight perfect matching, exact.
-
-    Returns a set of frozenset node pairs.  Raises :class:`NoPerfectMatching`
-    for odd node counts or graphs without a perfect matching.
-    """
-    n = graph.n_nodes
-    if n % 2:
-        raise NoPerfectMatching(f"odd node count {n}")
-    if n == 0:
-        return set()
-    if n <= 12:
-        return _dp_matching(n, graph.edges)
-    return _nx_matching(n, graph.edges)
-
-
-def _dp_matching(n: int, edges) -> set:
-    """Subset DP over nodes; deterministic lowest-index-first tie-break."""
-    w = [[_INF] * n for _ in range(n)]
-    for u, v, wt in edges:
-        if wt < w[u][v]:
-            w[u][v] = w[v][u] = int(wt)
-    size = 1 << n
-    f = [0] * size
-    choice = [0] * size
-    for mask in range(1, size):
-        u = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << u)
-        best = _INF * n
-        best_v = -1
-        row = w[u]
-        v_mask = rest
-        while v_mask:
-            v = (v_mask & -v_mask).bit_length() - 1
-            v_mask &= v_mask - 1
-            if row[v] < _INF:
-                cand = row[v] + f[rest ^ (1 << v)]
-                if cand < best:
-                    best = cand
-                    best_v = v
-        f[mask] = best
-        choice[mask] = best_v
-    if f[size - 1] >= _INF:
-        raise NoPerfectMatching("no perfect matching exists")
-    pairs = set()
-    mask = size - 1
-    while mask:
-        u = (mask & -mask).bit_length() - 1
-        v = choice[mask]
-        pairs.add(frozenset((u, v)))
-        mask ^= (1 << u) | (1 << v)
-    return pairs
-
-
-def _nx_matching(n: int, edges) -> set:
-    """Blossom-based exact matching via networkx for larger graphs."""
-    import networkx as nx
-
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    for u, v, wt in edges:
-        if not g.has_edge(u, v) or g[u][v]["weight"] > wt:
-            g.add_edge(u, v, weight=int(wt))
-    matching = nx.min_weight_matching(g)
-    if 2 * len(matching) != n:
-        raise NoPerfectMatching("no perfect matching exists")
-    return {frozenset(p) for p in matching}
-
-
-def matching_weight(graph: MatchingGraph, pairs) -> int:
-    w = {}
-    for u, v, wt in graph.edges:
-        key = frozenset((u, v))
-        if key not in w or w[key] > wt:
-            w[key] = int(wt)
-    return sum(w[frozenset(p)] for p in pairs)
-
-
-@dataclass(frozen=True)
 class _TypeTables:
     """Per-ancilla-type decode tables (all indices local to the type)."""
 
@@ -297,18 +190,32 @@ def _components(defects: int, inter: list):
 
 
 def _large_matching(dist: np.ndarray, bnd: np.ndarray) -> np.ndarray:
-    """Blossom fallback when the defect count exceeds the DP cap."""
+    """Blossom fallback when the defect count exceeds the DP cap.
+
+    Matches the complete graph of defects ``0 .. k-1`` and one virtual
+    boundary node ``k + i`` per defect ``i``: defect pairs weigh ``dist``,
+    boundary pairs 0 and a defect with its own boundary node ``bnd``.
+    Which of several equal-weight matchings networkx returns depends on the
+    order nodes and edges are inserted, so that order is fixed.
+    """
+    import networkx as nx
+
     k = len(bnd)
-    graph = MatchingGraph.from_weights(dist, bnd)
-    pairs = min_weight_perfect_matching(graph)
+    g = nx.Graph()
+    g.add_nodes_from(range(2 * k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            g.add_edge(i, j, weight=int(dist[i][j]))
+            g.add_edge(k + i, k + j, weight=0)
+        g.add_edge(i, k + i, weight=int(bnd[i]))
+    matching = nx.min_weight_matching(g)
+    if len(matching) != k:
+        raise NoPerfectMatching("no perfect matching exists")
     pair = np.full(k, -1, dtype=np.int32)
-    for p in pairs:
-        u, v = sorted(p)
-        if u < k:
-            if v < k:
-                pair[u] = v
-                pair[v] = u
-            # v >= k: boundary partner, stays -1
+    for u, v in matching:
+        if u < k and v < k:
+            pair[u] = v
+            pair[v] = u
     return pair
 
 

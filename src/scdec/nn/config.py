@@ -101,9 +101,8 @@ _FIELDS = ("w1", "b1", "w2", "b2", "wout", "bout")
 
 
 @dataclass
-class Weights:
-    """Full (expanded) parameter set: w1 (n1, n_in), b1 (n1,), w2 (n2, n1),
-    b2 (n2,), wout (2, n2), bout (2,)."""
+class _Params:
+    """The six parameter arrays every weight container holds."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -115,11 +114,14 @@ class Weights:
     def arrays(self) -> dict:
         return {name: getattr(self, name) for name in _FIELDS}
 
-    def validate(self, cfg: NetworkConfig) -> None:
+    def _check_shapes(self, cfg: NetworkConfig, rows1: int, rows2: int,
+                      n_bout: int) -> None:
+        """Shapes w1 (rows1, n_in), b1 (rows1,), w2 (rows2, n1), b2 (rows2,),
+        wout (2, rows2), bout (n_bout,), and finite entries."""
         shapes = {
-            "w1": (cfg.n1, cfg.n_in), "b1": (cfg.n1,),
-            "w2": (cfg.n2, cfg.n1), "b2": (cfg.n2,),
-            "wout": (2, cfg.n2), "bout": (2,),
+            "w1": (rows1, cfg.n_in), "b1": (rows1,),
+            "w2": (rows2, cfg.n1), "b2": (rows2,),
+            "wout": (2, rows2), "bout": (n_bout,),
         }
         for name, shape in shapes.items():
             arr = getattr(self, name)
@@ -130,53 +132,33 @@ class Weights:
 
 
 @dataclass
-class BaseWeights:
+class Weights(_Params):
+    """Full (expanded) parameter set: w1 (n1, n_in), b1 (n1,), w2 (n2, n1),
+    b2 (n2,), wout (2, n2), bout (2,)."""
+
+    def validate(self, cfg: NetworkConfig) -> None:
+        self._check_shapes(cfg, rows1=cfg.n1, rows2=cfg.n2, n_bout=2)
+
+
+@dataclass
+class BaseWeights(_Params):
     """Quarter-size parameters of a rotated net: w1 (n1/4, n_in), b1 (n1/4,),
     w2 (n2/4, n1), b2 (n2/4,), wout (2, n2/4), bout (1,) shared scalar."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    wout: np.ndarray
-    bout: np.ndarray
-
-    def arrays(self) -> dict:
-        return {name: getattr(self, name) for name in _FIELDS}
 
     def validate(self, cfg: NetworkConfig) -> None:
         if not cfg.rotated:
             raise ValueError("base weights only exist for rotated configs")
-        shapes = {
-            "w1": (cfg.n1 // 4, cfg.n_in), "b1": (cfg.n1 // 4,),
-            "w2": (cfg.n2 // 4, cfg.n1), "b2": (cfg.n2 // 4,),
-            "wout": (2, cfg.n2 // 4), "bout": (1,),
-        }
-        for name, shape in shapes.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
+        self._check_shapes(cfg, rows1=cfg.n1 // 4, rows2=cfg.n2 // 4, n_bout=1)
 
 
 @dataclass
-class QuantizedWeights:
+class QuantizedWeights(_Params):
     """Integer parameter set on the fixed-point grid of ``spec``.
 
     Entry ``k`` represents the value ``k * 2^-spec.wfrac``.
     """
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    wout: np.ndarray
-    bout: np.ndarray
     spec: QuantSpec = field(default=None)
-
-    def arrays(self) -> dict:
-        return {name: getattr(self, name) for name in _FIELDS}
 
     def validate(self) -> None:
         for name in _FIELDS:
@@ -185,10 +167,6 @@ class QuantizedWeights:
                 raise ValueError(f"{name} must be integer, got {arr.dtype}")
             if arr.min(initial=0) < self.spec.min_int or arr.max(initial=0) > self.spec.max_int:
                 raise ValueError(f"{name} falls outside the {self.spec.bits}-bit grid")
-
-    def to_float(self) -> Weights:
-        s = self.spec.step
-        return Weights(**{k: v.astype(np.float64) * s for k, v in self.arrays().items()})
 
 
 def save_checkpoint(path, cfg: NetworkConfig, weights=None, qweights=None,

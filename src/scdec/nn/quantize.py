@@ -18,11 +18,6 @@ def quantize_array(values: np.ndarray, q: QuantSpec) -> np.ndarray:
     return np.clip(k, q.min_int, q.max_int).astype(np.int64)
 
 
-def quantize_value(value: float, q: QuantSpec) -> float:
-    """Quantized value of a single number (convenience for tests/loss)."""
-    return float(quantize_array(np.array([value]), q)[0]) * q.step
-
-
 def quantize_weights(weights: Weights, q: QuantSpec) -> QuantizedWeights:
     """Quantize every parameter, biases included."""
     out = QuantizedWeights(

@@ -23,14 +23,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ped
-from .lattice import Layout, LogicalClass, cut_parities
+from .lattice import Layout, cut_parities
 from .nn.config import BaseWeights, NetworkConfig, Weights
 from .nn.forward import forward_acts, transfer_deriv
 from .nn.rotated import expand_rotated, reduce_rotated_grads
 from .noise import (
     INIT_STREAM,
     TRAIN_STREAM,
-    ErrorConfig,
     compute_syndrome_bits,
     sample_depolarizing_bits,
 )
@@ -77,17 +76,6 @@ class TrainConfig:
             raise ValueError(f"no default training error rate for d={d}") from None
 
 
-def make_target(layout: Layout, actual: ErrorConfig, ped_out: ErrorConfig) -> LogicalClass:
-    """Logical difference between the actual error and the decoder output."""
-    sa = compute_syndrome_bits(layout, actual.x_bits, actual.z_bits)
-    sp = compute_syndrome_bits(layout, ped_out.x_bits, ped_out.z_bits)
-    if not np.array_equal(sa, sp):
-        raise ValueError("syndromes differ; configurations are not comparable")
-    diff = actual ^ ped_out
-    lx, lz = cut_parities(layout, diff.x_bits, diff.z_bits)
-    return LogicalClass(int(lx), int(lz))
-
-
 def target_bits(layout: Layout, x_bits, z_bits, syn):
     """Batched target class bits (lx, lz) for sampled errors and their
     syndromes; the decoder output parities are computed linearly."""
@@ -101,17 +89,6 @@ def _reg_quantized(w: np.ndarray, reg_bits: int) -> np.ndarray:
     scale = 1 << (reg_bits - 1)
     k = np.clip(np.ceil(w * scale - 0.5), -scale, scale - 1)
     return k / scale
-
-
-def loss(outputs: np.ndarray, targets: np.ndarray, weights, reg_scale: float,
-         reg_bits: int) -> float:
-    """Cost of a batch: squared output error plus weight regularization."""
-    total = float(np.sum((outputs - targets) ** 2))
-    if reg_scale > 0.0:
-        for w in weights.arrays().values():
-            wq = _reg_quantized(w, reg_bits)
-            total += reg_scale * float(np.sum(w * w) + np.sum((w - wq) ** 2))
-    return total
 
 
 def loss_and_gradients(cfg: NetworkConfig, weights, x: np.ndarray, t: np.ndarray,

@@ -179,35 +179,6 @@ def union_find_components(defects, dist, bnd):
     return sorted(sorted(c) for c in comps.values())
 
 
-def brute_force_perfect_matching(n, weights):
-    """Minimum-weight perfect matching weight by enumeration.
-
-    ``weights`` maps frozenset pairs to weights; missing pairs are
-    unusable.  Returns None when no perfect matching exists.
-    """
-    nodes = tuple(range(n))
-
-    def rec(remaining):
-        if not remaining:
-            return 0
-        u = remaining[0]
-        rest = remaining[1:]
-        best = None
-        for idx, v in enumerate(rest):
-            w = weights.get(frozenset((u, v)))
-            if w is None:
-                continue
-            sub = rec(rest[:idx] + rest[idx + 1:])
-            if sub is None:
-                continue
-            cand = w + sub
-            if best is None or cand < best:
-                best = cand
-        return best
-
-    return rec(nodes)
-
-
 def gf2_span(generators):
     """All XOR combinations of integer bit masks (small generator counts)."""
     span = {0}

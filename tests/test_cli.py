@@ -295,3 +295,28 @@ def test_pareto_subcommand(tmp_path, capsys):
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
     # d dominates a and c; b survives only if nothing is cheaper and better
     assert set(r.split(",")[0] for r in rows) == {"d"}
+
+
+# --------------------------------------------------------- table inputs --
+
+_TABLE_ARGS = {
+    "pareto": ["pareto", "--cost-col", "bitops", "--perf-col", "p_th",
+               "--input"],
+    "budget": ["cost", "--budgets", "1000", "--budget-report"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_TABLE_ARGS))
+def test_table_without_header_row_is_exit_3(tmp_path, capsys, cmd):
+    src = tmp_path / "table.csv"
+    src.write_text("# prov\n\n# only comments\n")
+    code, _, err = run(_TABLE_ARGS[cmd] + [str(src)], capsys)
+    assert code == 3 and "no header row" in err
+
+
+@pytest.mark.parametrize("cmd", sorted(_TABLE_ARGS))
+def test_table_unknown_column_is_exit_3(tmp_path, capsys, cmd):
+    src = tmp_path / "table.csv"
+    src.write_text("# prov\ndistance,p_th,slope,c,status\n3,0.08,1.9,0.0,ok\n")
+    code, _, err = run(_TABLE_ARGS[cmd] + [str(src)], capsys)
+    assert code == 3 and "column not found: 'bitops'" in err

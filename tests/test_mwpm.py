@@ -2,90 +2,60 @@ import numpy as np
 import pytest
 
 from scdec.lattice import build_layout, logical_class
-from scdec.mwpm import (
-    MatchingGraph,
-    MwpmDecoder,
-    NoPerfectMatching,
-    decode_mwpm,
-    matching_weight,
-    min_weight_perfect_matching,
-)
+from scdec.mwpm import MwpmDecoder, _large_matching, decode_mwpm
 from scdec.noise import Syndrome, compute_syndrome_bits, sample_depolarizing_bits
 from scdec._kernels import MATCH_DP_MAX, match_defects, python_backend
 from scdec._kernels._pykernels import match_weight
 
 from oracles import (
     brute_force_boundary_matching,
-    brute_force_perfect_matching,
     subset_dp_matching,
     union_find_components,
 )
 
 
-# ------------------------------------------------- generic graph matching --
-
-def test_two_nodes_single_edge():
-    g = MatchingGraph(1, ((0, 1, 7),))
-    assert min_weight_perfect_matching(g) == {frozenset((0, 1))}
-
-
-def test_four_node_unique_optimum():
-    edges = ((0, 1, 1), (2, 3, 1), (0, 2, 3), (1, 3, 3), (0, 3, 3), (1, 2, 3))
-    g = MatchingGraph(2, edges)
-    got = min_weight_perfect_matching(g)
-    assert got == {frozenset((0, 1)), frozenset((2, 3))}
-    assert matching_weight(g, got) == 2
-
-
-def test_odd_node_count_rejected():
-    from types import SimpleNamespace
-
-    odd = SimpleNamespace(n_nodes=3, edges=((0, 1, 1), (1, 2, 1), (0, 2, 1)))
-    with pytest.raises(NoPerfectMatching):
-        min_weight_perfect_matching(odd)
-
-
-def test_no_perfect_matching_detected():
-    # 4 nodes, only one edge: no perfect matching exists
-    g = MatchingGraph(2, ((0, 1, 1),))
-    with pytest.raises(NoPerfectMatching):
-        min_weight_perfect_matching(g)
-
-
-def test_matching_equals_bruteforce_on_random_complete_graphs():
-    rng = np.random.default_rng(0)
-    for trial in range(1000):
-        n = int(rng.integers(1, 5)) * 2  # up to 8 nodes
-        weights = {}
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = int(rng.integers(0, 50))
-                weights[frozenset((i, j))] = w
-                edges.append((i, j, w))
-        g = MatchingGraph(n // 2, tuple(edges))
-        got = min_weight_perfect_matching(g)
-        assert matching_weight(g, got) == brute_force_perfect_matching(n, weights)
-
+# ------------------------------------------------------ blossom fallback --
 
 def test_large_graph_path_agrees_with_dp():
-    # force the blossom route (> 12 nodes) and compare weights with the DP
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        n = 14
-        weights = {}
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = int(rng.integers(1, 30))
-                weights[frozenset((i, j))] = w
-                edges.append((i, j, w))
-        g = MatchingGraph(n // 2, tuple(edges))
-        got = min_weight_perfect_matching(g)
-        from scdec.mwpm import _dp_matching
+    """The blossom route, forced on small boundary instances with weights in
+    0..3 so that ties are common, finds the subset DP's minimum weight."""
+    rng = np.random.default_rng(13)
+    for k in range(1, 11):
+        for trial in range(20):
+            d = rng.integers(0, 4, size=(k, k))
+            d = np.triu(d, 1) + np.triu(d, 1).T
+            bnd = rng.integers(0, 4, size=k)
+            got = match_weight(d, bnd, _large_matching(d, bnd))
+            assert got == match_weight(d, bnd, subset_dp_matching(d, bnd)), (k, trial)
 
-        best = _dp_matching(n, g.edges)
-        assert matching_weight(g, got) == matching_weight(g, best)
+
+def test_large_matching_weight_equals_uncapped_dp_on_lattice_components(monkeypatch):
+    """The components the decoder sends to the blossom (more than
+    MATCH_DP_MAX defects) get the weight the top-down DP finds without its
+    cap: the 8 smallest of 200 d=9 syndromes at eps = 0.3."""
+    from scdec.mwpm import _components, _tables
+
+    lay = build_layout(9)
+    xb, zb = sample_depolarizing_bits(lay, 0.3, 23, 0, 0, 200)
+    syn = compute_syndrome_bits(lay, xb, zb)
+    nx = lay.n_anc_x
+    large = []
+    for tab, cols in zip(_tables(9), (syn[:, :nx], syn[:, nx:])):
+        for row in cols:
+            key = sum(1 << int(u) for u in np.flatnonzero(row))
+            for comp in _components(key, tab.inter):
+                members = [u for u in range(comp.bit_length()) if comp >> u & 1]
+                if len(members) > MATCH_DP_MAX:
+                    large.append((len(members), members, tab))
+    large.sort(key=lambda item: item[:2])
+    assert len(large) >= 8
+    monkeypatch.setattr(python_backend, "MATCH_DP_MAX", 64)
+    for _, members, tab in large[:8]:
+        idx = np.array(members, dtype=np.intp)
+        dist = tab.dist[np.ix_(idx, idx)]
+        bnd = tab.bnd[idx]
+        want = match_weight(dist, bnd, python_backend.match_defects(dist, bnd))
+        assert match_weight(dist, bnd, _large_matching(dist, bnd)) == want, members
 
 
 # ----------------------------------------------------- defect DP matcher --

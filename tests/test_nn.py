@@ -125,6 +125,26 @@ def _random_base(cfg, seed):
     )
 
 
+def test_weight_containers_validate_shapes_and_finiteness():
+    cfg = NetworkConfig(d=3, n1=4, n2=4, rotated=True)
+    full = _random_weights(cfg, 0)
+    full.validate(cfg)
+    full.wout = np.zeros((2, 3))
+    with pytest.raises(ValueError, match="wout has shape"):
+        full.validate(cfg)
+    base = _random_base(cfg, 0)
+    base.validate(cfg)
+    with pytest.raises(ValueError, match="rotated"):
+        base.validate(NetworkConfig(d=3, n1=4, n2=4))
+    base.b2[0] = np.inf
+    with pytest.raises(ValueError, match="b2 contains non-finite"):
+        base.validate(cfg)
+    base.b2[0] = 0.0
+    base.bout = np.zeros(2)
+    with pytest.raises(ValueError, match="bout has shape"):
+        base.validate(cfg)
+
+
 def test_expand_rotated_zero_base():
     cfg = NetworkConfig(d=3, n1=8, n2=4, rotated=True)
     base = BaseWeights(np.zeros((2, 8)), np.zeros(2), np.zeros((1, 8)),

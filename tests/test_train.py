@@ -3,7 +3,7 @@ import pytest
 
 from scdec.lattice import build_layout
 from scdec.nn import NetworkConfig, expand_rotated
-from scdec.noise import ErrorConfig, compute_syndrome_bits, sample_depolarizing_bits
+from scdec.noise import compute_syndrome_bits, sample_depolarizing_bits
 from scdec import ped
 from scdec.train import (
     MWPM_PTH,
@@ -12,9 +12,7 @@ from scdec.train import (
     TrainingDiverged,
     adam_step,
     init_weights,
-    loss,
     loss_and_gradients,
-    make_target,
     target_bits,
     train_loop,
 )
@@ -38,30 +36,21 @@ def _unflatten_like(vec, w):
 
 # ------------------------------------------------------------- targets --
 
-def test_make_target_identity():
+def test_target_bits_identity():
     lay = build_layout(3)
-    e = ErrorConfig(np.zeros(9, np.uint8), np.zeros(9, np.uint8))
-    cls = make_target(lay, e, e)
-    assert (cls.lx, cls.lz) == (0, 0)
+    x = np.zeros((1, 9), np.uint8)
+    z = np.zeros((1, 9), np.uint8)
+    tx, tz = target_bits(lay, x, z, compute_syndrome_bits(lay, x, z))
+    assert (int(tx[0]), int(tz[0])) == (0, 0)
 
 
-def test_make_target_full_column_is_logical_x():
+def test_target_bits_full_column_is_logical_x():
     lay = build_layout(3)
-    x = np.zeros(9, np.uint8)
-    x[[0, 3, 6]] = 1
-    actual = ErrorConfig(x, np.zeros(9, np.uint8))
-    ped_out = ErrorConfig(np.zeros(9, np.uint8), np.zeros(9, np.uint8))
-    cls = make_target(lay, actual, ped_out)
-    assert (cls.lx, cls.lz) == (1, 0)
-
-
-def test_make_target_rejects_mismatched_syndromes():
-    lay = build_layout(3)
-    x = np.zeros(9, np.uint8)
-    x[0] = 1
-    with pytest.raises(ValueError):
-        make_target(lay, ErrorConfig(x, np.zeros(9, np.uint8)),
-                    ErrorConfig.identity(lay))
+    x = np.zeros((1, 9), np.uint8)
+    x[0, [0, 3, 6]] = 1
+    z = np.zeros((1, 9), np.uint8)
+    tx, tz = target_bits(lay, x, z, compute_syndrome_bits(lay, x, z))
+    assert (int(tx[0]), int(tz[0])) == (1, 0)
 
 
 def test_targets_match_brute_force_coset_classification_d3():
@@ -100,16 +89,21 @@ def test_targets_match_brute_force_coset_classification_d3():
 
 
 def test_loss_examples():
-    w = Weights(np.zeros((1, 8)), np.zeros(1), np.zeros((1, 1)), np.zeros(1),
-                np.zeros((2, 1)), np.zeros(2))
-    out = np.array([[1.0, -1.0]])
-    t = np.array([[1.0, -1.0]])
-    assert loss(out, t, w, 0.0, 5) == 0.0
-    assert loss(np.array([[0.5, -1.0]]), t, w, 0.0, 5) == pytest.approx(0.25)
+    # zero weights in a 1/1 relu net, so the outputs equal bout
+    cfg = NetworkConfig(d=3, n1=1, n2=1, transfer="relu")
+
+    def value(bout, t, w1_00=0.0, **reg):
+        w1 = np.zeros((1, 8))
+        w1[0, 0] = w1_00
+        w = Weights(w1, np.zeros(1), np.zeros((1, 1)), np.zeros(1),
+                    np.zeros((2, 1)), np.array(bout, dtype=float))
+        t = np.array([t], dtype=float)
+        return loss_and_gradients(cfg, w, np.zeros((1, 8)), t, **reg)[0]
+
+    assert value([1.0, -1.0], [1.0, -1.0]) == 0.0
+    assert value([0.5, -1.0], [1.0, -1.0]) == pytest.approx(0.25)
     # one weight 0.6, two-bit grid (step 0.5), reg 0.1, zero output error
-    w2 = Weights(np.array([[0.6] + [0.0] * 7]), np.zeros(1), np.zeros((1, 1)),
-                 np.zeros(1), np.zeros((2, 1)), np.zeros(2))
-    got = loss(t, t, w2, reg_scale=0.1, reg_bits=2)
+    got = value([0.0, 0.0], [0.0, 0.0], 0.6, reg_scale=0.1, reg_bits=2)
     assert got == pytest.approx(0.1 * (0.36 + 0.01))
 
 
