@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, eval as eval_mod, hwcost, ped, train as train_mod
+from ._fileio import atomic_write
 from .lattice import build_layout
 from .mwpm import decode_mwpm
 from .nn import (
@@ -194,7 +195,7 @@ def cmd_train(args) -> int:
         rows.append(row)
         save_checkpoint(ckpt_path, net_cfg, weights=weights,
                         extra={"provenance": note, "iteration": row["iteration"]})
-        with open(curve_path, "w") as fh:
+        with atomic_write(curve_path) as fh:
             fh.write(f"# {note}\n")
             fh.write("iteration,batches,samples,ler,loss\n")
             for r in rows:
@@ -299,7 +300,7 @@ def cmd_fit(args) -> int:
         doc["crossing"] = None
     text = json.dumps(doc, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(text + "\n")
     print(text)
     return 0
@@ -372,7 +373,7 @@ def _cmd_cost_budget_report(args) -> int:
     out_lines += [f"{b!r},{e!r},{d},{el!r}" for b, e, d, el in rows]
     text = "\n".join(out_lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -416,7 +417,7 @@ def cmd_sweep(args) -> int:
         except Exception as exc:  # the cell is reported, never dropped
             reason = str(exc).replace(",", ";").replace("\n", " ")[:120]
             lines.append(prefix + "," + "," * 10 + f"error:{reason}")
-    with open(args.out, "w") as fh:
+    with atomic_write(args.out) as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"{len(cells)} sweep cells written to {args.out}")
     return 0
@@ -474,7 +475,7 @@ def cmd_pareto(args) -> int:
     out_lines += [line for c, p, line in rows if (c, p) in front_set]
     text = "\n".join(out_lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import ped
+from ._fileio import atomic_write
 from .lattice import Layout
 from .mwpm import MwpmDecoder
 from .nn.config import NetworkConfig, QuantizedWeights
@@ -264,7 +265,7 @@ def write_points_csv(path, points, *, distance: int, decoder: str,
     for p in points:
         lines.append(f"{distance},{decoder},{float(p.eps_p)!r},"
                      f"{float(p.eps_l)!r},{p.shots},{float(p.variance)!r}")
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from .._fileio import atomic_write
+
 TRANSFERS = ("tanh", "relu", "sqnl")
 
 CHECKPOINT_FORMAT = "scdec-checkpoint-v1"
@@ -183,7 +185,7 @@ def save_checkpoint(path, cfg: NetworkConfig, weights=None, qweights=None,
         doc["quantized_weights"] = {k: v.tolist() for k, v in qweights.arrays().items()}
     if extra:
         doc["extra"] = extra
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh)
 
 

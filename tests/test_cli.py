@@ -179,6 +179,36 @@ def test_fit_on_synthetic_curve(tmp_path, capsys):
     assert doc["crossing"] is not None
 
 
+def test_output_writes_follow_symlinks_and_keep_pipes(tmp_path):
+    """An output written through a symlink replaces the link's target and
+    keeps the link and the target's permission bits; a pipe is written in
+    place, not replaced."""
+    import stat
+
+    pts = [BenchmarkPoint(0.1, 0.01, 100, 1e-4)]
+    real = tmp_path / "real.csv"
+    real.write_text("old\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    write_points_csv(link, pts, distance=3, decoder="mwpm")
+    assert link.is_symlink()
+    assert real.read_text().startswith("distance,")
+    assert stat.S_IMODE(os.stat(real).st_mode) == 0o640
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_points_csv(fifo, pts, distance=3, decoder="mwpm")
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got.decode().startswith("distance,")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "pipe", "real.csv"]
+
+
 def test_fit_missing_input_is_exit_4(capsys):
     assert run(["fit", "--input", "/does/not/exist.csv"], capsys)[0] == 4
 

@@ -254,6 +254,91 @@ def test_decoder_caching_consistent_with_decode():
         assert (int(clx), int(clz)) == (int(lx[i]), int(lz[i]))
 
 
+# ------------------------------------------------- shared per-sector memo --
+
+# Sampled syndromes whose components fall on both sides of _SHARED_MAX and,
+# at d=9, eps=0.3, above MATCH_DP_MAX.
+_MEMO_SAMPLES = ((5, 0.05, 200), (5, 0.3, 200), (7, 0.1, 200), (7, 0.3, 60),
+                 (9, 0.05, 100), (9, 0.2, 40), (9, 0.3, 120))
+# The exhaustive oracle visits 2^k subsets; components of 15..22 defects
+# (the unchanged match_defects route, checked against it above) are skipped.
+_ORACLE_MAX = 14
+
+
+def _sampled_syndromes(d, eps, n, seed=29):
+    lay = build_layout(d)
+    xb, zb = sample_depolarizing_bits(lay, eps, seed, 0, 0, n)
+    return lay, compute_syndrome_bits(lay, xb, zb)
+
+
+def _reference_correction(tab, defects, sizes):
+    """(data mask, cut parity) from matching each component independently:
+    the exhaustive subset DP up to _ORACLE_MAX defects, the blossom above
+    MATCH_DP_MAX; None if a component lies in between."""
+    mask = 0
+    for comp in union_find_components(defects, tab.dist, tab.bnd):
+        k = len(comp)
+        if _ORACLE_MAX < k <= MATCH_DP_MAX:
+            return None
+        sizes.append(k)
+        idx = np.array(comp, dtype=np.intp)
+        dist = tab.dist[np.ix_(idx, idx)]
+        bnd = tab.bnd[idx]
+        pair = (subset_dp_matching(dist, bnd) if k <= _ORACLE_MAX
+                else _large_matching(dist, bnd).tolist())
+        for i, j in enumerate(pair):
+            if j < 0:
+                mask ^= tab.bnd_mask[comp[i]]
+            elif j > i:
+                mask ^= tab.path_mask[comp[i]][comp[j]]
+    return mask, (mask & tab.cut_mask).bit_count() & 1
+
+
+def test_memo_path_equals_independent_reference():
+    """Parities from ``cut_parities_batch`` (over the shared memo) and masks
+    from ``decode_masks`` equal per-component reference matchings."""
+    from scdec.mwpm import _SHARED_MAX, _tables
+
+    sizes = []
+    for d, eps, n in _MEMO_SAMPLES:
+        lay, syn = _sampled_syndromes(d, eps, n)
+        nx = lay.n_anc_x
+        dec = MwpmDecoder(lay)
+        lz, lx = dec.cut_parities_batch(syn)
+        for i, row in enumerate(syn):
+            masks = dec.decode_masks(row)
+            for t, (tab, bits, par) in enumerate(zip(
+                    _tables(d), (row[:nx], row[nx:]), (lz[i], lx[i]))):
+                want = _reference_correction(
+                    tab, np.flatnonzero(bits).tolist(), sizes)
+                if want is None:
+                    continue
+                assert int(par) == want[1], (d, eps, i, t)
+                assert masks[t] == want[0], (d, eps, i, t)
+    assert sizes.count(_SHARED_MAX) and sizes.count(_SHARED_MAX + 1)
+    assert max(sizes) > MATCH_DP_MAX
+
+
+def test_clearing_the_memo_changes_nothing(monkeypatch):
+    """A memo capped at 64 entries clears many times and gives the same
+    parities; masks do not read the memo."""
+    from scdec.mwpm import _DefectCache
+
+    def decode(lay, syn):
+        dec = MwpmDecoder(lay)
+        pars = dec.cut_parities_batch(syn)
+        return [p.tolist() for p in pars], len(dec._cache_x.memo)
+
+    for d, eps, n in ((7, 0.1, 300), (7, 0.3, 60), (9, 0.1, 60), (9, 0.2, 20)):
+        lay, syn = _sampled_syndromes(d, eps, n)
+        pars, size = decode(lay, syn)
+        with monkeypatch.context() as m:
+            m.setattr(_DefectCache, "MAX_ENTRIES", 64)
+            small_pars, small_size = decode(lay, syn)
+        assert small_size < size
+        assert small_pars == pars, (d, eps)
+
+
 def test_decode_size_mismatch():
     lay = build_layout(3)
     with pytest.raises(ValueError):

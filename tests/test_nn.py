@@ -372,3 +372,24 @@ def test_checkpoint_rejects_foreign_json(tmp_path):
     path.write_text(json.dumps({"something": 1}))
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
+    """A save that raises after writing part of the document leaves the
+    previous checkpoint byte for byte and no temp file beside it."""
+    from scdec.nn import config as config_mod
+
+    cfg = NetworkConfig(d=3, n1=8, n2=4, transfer="sqnl", rotated=True)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, cfg, weights=init_weights(cfg, seed=3))
+    before = path.read_bytes()
+
+    def crashing_dump(doc, fh):
+        fh.write(json.dumps(doc)[:50])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(config_mod.json, "dump", crashing_dump)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, cfg, weights=init_weights(cfg, seed=4))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
