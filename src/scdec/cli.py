@@ -14,11 +14,14 @@ Exit codes: 0 success, 2 usage error, 3 malformed configuration,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,14 +29,7 @@ from . import __version__, eval as eval_mod, hwcost, ped, train as train_mod
 from ._fileio import atomic_write
 from .lattice import build_layout
 from .mwpm import decode_mwpm
-from .nn import (
-    NetworkConfig,
-    QuantSpec,
-    load_checkpoint,
-    quantize_weights,
-    save_checkpoint,
-)
-from .nn.config import BaseWeights
+from .nn import NetworkConfig, QuantSpec, load_checkpoint, save_checkpoint
 from .noise import Syndrome
 from .train import TrainConfig
 
@@ -84,19 +80,97 @@ def _parse_value(text: str):
     return text
 
 
-def load_config(args) -> dict:
+def _bool(value) -> bool:
+    if isinstance(value, int) and value in (0, 1):  # bool is an int
+        return bool(value)
+    raise ValueError(value)
+
+
+def _floats(value) -> list:
+    return [float(v) for v in (value if isinstance(value, list) else [value])]
+
+
+class Key(NamedTuple):
+    cast: Callable
+    default: object = None
+    axis: bool | tuple = False
+
+
+# TrainConfig's fields in order, under their config key names
+_TRAIN = {("adam_eps" if f.name == "eps" else f.name): f.default
+          for f in dataclasses.fields(TrainConfig)}
+_GRID = inspect.signature(eval_mod.default_eps_grid).parameters
+
+# Every key of ``train``, ``eval`` and ``sweep``: the cast that checks it, its
+# default, and whether ``sweep`` reads it as a list (an ``axis``, by default
+# the tuple given there or ``[default]``).  One file can serve several
+# subcommands (``train-d3.cfg`` serves ``train`` and ``eval``), hence one table.
+CONFIG_KEYS = {
+    "distance": Key(int),
+    "decoder": Key(str),
+    "n1": Key(int, 16, axis=(8, 16)),
+    "n2": Key(int, 4, axis=True),
+    "transfer": Key(str, "sqnl", axis=True),
+    "rotated": Key(_bool, True, axis=True),
+    "bits": Key(int, 0, axis=True),
+    "extra_sample_bit": Key(_bool, False),
+    "batch_size": Key(int, _TRAIN["batch_size"]),
+    "n_batches": Key(int, _TRAIN["n_batches"]),
+    "lr": Key(float, _TRAIN["lr"]),
+    "beta1": Key(float, _TRAIN["beta1"]),
+    "beta2": Key(float, _TRAIN["beta2"]),
+    "adam_eps": Key(float, _TRAIN["adam_eps"]),
+    "reg_scale": Key(float, _TRAIN["reg_scale"]),
+    "reg_bits": Key(int, _TRAIN["reg_bits"], axis=True),
+    "p_train": Key(float, _TRAIN["p_train"]),
+    "seed": Key(int, _TRAIN["seed"]),
+    "log_every": Key(int, _TRAIN["log_every"]),
+    "shots": Key(int, 100_000),
+    "eps_list": Key(_floats),
+    "eps_points": Key(int, _GRID["n_points"].default),
+    "eps_min": Key(float, _GRID["lo"].default),
+    "eps_max": Key(float, _GRID["hi"].default),
+}
+
+
+def resolve_config(parsed: dict, axes: bool = False) -> dict:
+    """Each :data:`CONFIG_KEYS` value from ``parsed`` or its default, cast;
+    with ``axes`` the sweep axes are lists."""
+    unknown = sorted(set(parsed) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
     cfg = {}
+    for key, spec in CONFIG_KEYS.items():
+        many = axes and spec.axis is not False
+        own = many and spec.axis is not True  # sweep's own default list
+        value = parsed.get(key, list(spec.axis) if own else spec.default)
+        try:
+            if many:
+                value = [spec.cast(v) for v in
+                         (value if isinstance(value, list) else [value])]
+            elif value is not None:
+                value = spec.cast(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"config key {key!r}: bad value {value!r}") from None
+        cfg[key] = value
+    return cfg
+
+
+def load_config(args, axes: bool = False) -> tuple[dict, dict]:
+    """``(parsed, cfg)``: the dict read from ``--config`` and ``--set``,
+    which the provenance hash covers, and its :func:`resolve_config`."""
+    parsed = {}
     if getattr(args, "config", None):
         if not os.path.exists(args.config):
             raise MissingInput(f"config file not found: {args.config}")
         with open(args.config) as fh:
-            cfg.update(parse_config_text(fh.read()))
+            parsed.update(parse_config_text(fh.read()))
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
-        cfg[key.strip()] = _parse_value(value.strip())
-    return cfg
+        parsed[key.strip()] = _parse_value(value.strip())
+    return parsed, resolve_config(parsed, axes)
 
 
 def config_hash(cfg: dict) -> str:
@@ -106,22 +180,6 @@ def config_hash(cfg: dict) -> str:
 
 def provenance(cfg: dict, seed) -> str:
     return f"scdec v{__version__} config={config_hash(cfg)} seed={seed}"
-
-
-def _get(cfg: dict, key: str, default, cast=None):
-    value = cfg.get(key, default)
-    if cast is not None and value is not None:
-        try:
-            value = cast(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key {key!r}: bad value {value!r}") from None
-    return value
-
-
-def _as_list(value):
-    if value is None:
-        return None
-    return value if isinstance(value, list) else [value]
 
 
 # ----------------------------------------------------------- subcommands --
@@ -150,44 +208,22 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _net_config(cfg: dict, quant: QuantSpec | None = None) -> NetworkConfig:
-    return NetworkConfig(
-        d=_get(cfg, "distance", None, int),
-        n1=_get(cfg, "n1", 16, int),
-        n2=_get(cfg, "n2", 4, int),
-        transfer=_get(cfg, "transfer", "sqnl", str),
-        rotated=_get(cfg, "rotated", True, bool),
-        quant=quant,
-    )
-
-
 def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        batch_size=_get(cfg, "batch_size", 4992, int),
-        n_batches=_get(cfg, "n_batches", 300_000, int),
-        lr=_get(cfg, "lr", 1e-3, float),
-        beta1=_get(cfg, "beta1", 0.9, float),
-        beta2=_get(cfg, "beta2", 0.999, float),
-        eps=_get(cfg, "adam_eps", 1e-8, float),
-        reg_scale=_get(cfg, "reg_scale", 0.0, float),
-        reg_bits=_get(cfg, "reg_bits", 5, int),
-        p_train=_get(cfg, "p_train", None, float),
-        seed=_get(cfg, "seed", 0, int),
-        log_every=_get(cfg, "log_every", 2000, int),
-    )
+    return TrainConfig(*(cfg[key] for key in _TRAIN))
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args)
-    if "distance" not in cfg:
+    parsed, cfg = load_config(args)
+    if cfg["distance"] is None:
         raise ConfigError("train needs a 'distance' key")
-    net_cfg = _net_config(cfg)
+    net_cfg = NetworkConfig(cfg["distance"], cfg["n1"], cfg["n2"],
+                            cfg["transfer"], cfg["rotated"])
     train_cfg = _train_config(cfg)
     layout = build_layout(net_cfg.d)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "checkpoint.json")
     curve_path = os.path.join(args.out, "curve.csv")
-    note = provenance(cfg, train_cfg.seed)
+    note = provenance(parsed, train_cfg.seed)
 
     rows = []
 
@@ -203,12 +239,10 @@ def cmd_train(args) -> int:
                          f"{r['ler']!r},{r['loss']!r}\n")
 
     try:
-        weights, history = train_mod.train_loop(
+        weights, _ = train_mod.train_loop(
             train_cfg, net_cfg, layout, iteration_cb=on_iteration)
     except train_mod.TrainingDiverged as exc:
         raise ComputeError(str(exc)) from exc
-    save_checkpoint(ckpt_path, net_cfg, weights=weights,
-                    extra={"provenance": note, "iteration": len(history)})
     if not rows:
         on_iteration(weights, {"iteration": 0, "batches": 0, "samples": 0,
                                "ler": float("nan"), "loss": float("nan")})
@@ -219,37 +253,30 @@ def cmd_train(args) -> int:
 
 
 def _eps_grid(cfg: dict):
-    explicit = cfg.get("eps_list")
-    if explicit is not None:
-        return [float(e) for e in _as_list(explicit)]
-    return eval_mod.default_eps_grid(
-        _get(cfg, "eps_points", 10, int),
-        _get(cfg, "eps_min", 0.03, float),
-        _get(cfg, "eps_max", 0.3, float),
-    )
+    if cfg["eps_list"] is not None:
+        return cfg["eps_list"]
+    return eval_mod.default_eps_grid(cfg["eps_points"], cfg["eps_min"],
+                                     cfg["eps_max"])
 
 
 def _decoder_from_args(args, cfg: dict):
-    """(decoder, layout, label) for eval runs."""
-    if getattr(args, "checkpoint", None):
+    """(decoder, layout, label) for eval runs; ``--decoder`` and ``-d`` beat
+    the config's ``decoder`` and ``distance``."""
+    if args.checkpoint:
         if not os.path.exists(args.checkpoint):
             raise MissingInput(f"checkpoint not found: {args.checkpoint}")
         net_cfg, weights, qweights = load_checkpoint(args.checkpoint)
         layout = build_layout(net_cfg.d)
-        bits = _get(cfg, "bits", 0, int)
-        if bits:
-            spec = QuantSpec(bits, _get(cfg, "extra_sample_bit", False, bool))
-            if weights is None:
-                raise ConfigError("checkpoint has no float weights to quantize")
-            full = (train_mod.expand_rotated(net_cfg, weights)
-                    if isinstance(weights, BaseWeights) else weights)
-            qweights = quantize_weights(full, spec)
-            return eval_mod.NNFixedDecoder(net_cfg, qweights), layout, f"nn-fixed{bits}"
-        if qweights is not None and weights is None:
+        bits = cfg["bits"]
+        if weights is None and qweights is not None and not bits:
             return eval_mod.NNFixedDecoder(net_cfg, qweights), layout, "nn-fixed"
-        return eval_mod.NNFloatDecoder(net_cfg, weights), layout, "nn-float"
-    name = getattr(args, "decoder", None) or _get(cfg, "decoder", None, str)
-    d = _get(cfg, "distance", getattr(args, "distance", None), int)
+        if weights is None:
+            raise ConfigError("checkpoint has no float weights")
+        quant = QuantSpec(bits, cfg["extra_sample_bit"]) if bits else None
+        label = f"nn-fixed{bits}" if bits else "nn-float"
+        return eval_mod.nn_decoder(net_cfg, weights, quant), layout, label
+    name = args.decoder or cfg["decoder"]
+    d = args.distance if args.distance is not None else cfg["distance"]
     if d is None:
         raise ConfigError("eval needs a distance (flag or config)")
     layout = build_layout(d)
@@ -261,13 +288,12 @@ def _decoder_from_args(args, cfg: dict):
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args)
+    parsed, cfg = load_config(args)
     decoder, layout, label = _decoder_from_args(args, cfg)
-    seed = _get(cfg, "seed", 0, int)
-    shots = _get(cfg, "shots", 100_000, int)
-    points = eval_mod.benchmark(decoder, layout, _eps_grid(cfg), shots, seed)
+    points = eval_mod.benchmark(decoder, layout, _eps_grid(cfg), cfg["shots"],
+                                cfg["seed"])
     eval_mod.write_points_csv(args.out, points, distance=layout.d, decoder=label,
-                              header_note=provenance(cfg, seed))
+                              header_note=provenance(parsed, cfg["seed"]))
     try:
         p_th, (lo, hi) = eval_mod.pseudo_threshold(points)
         print(f"{label} d={layout.d}: p_th = {p_th:.5f}  "
@@ -367,7 +393,7 @@ def _cmd_cost_budget_report(args) -> int:
             continue
     if not entries:
         raise ComputeError("no usable rows (need ok status with fit columns)")
-    rows = hwcost.optimal_distance_report(entries, budgets, default_eps_grid(10))
+    rows = hwcost.optimal_distance_report(entries, budgets, default_eps_grid())
     out_lines = [f"# scdec v{__version__} budget report cost_col={args.cost_col}",
                  "budget,eps_p,distance,eps_l"]
     out_lines += [f"{b!r},{e!r},{d},{el!r}" for b, e, d, el in rows]
@@ -386,34 +412,24 @@ _SWEEP_COLUMNS = ("distance,n1,n2,transfer,rotated,bits,reg_bits,seed,p_th,"
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args)
-    if "distance" not in cfg:
+    parsed, cfg = load_config(args, axes=True)
+    if cfg["distance"] is None:
         raise ConfigError("sweep needs a 'distance' key")
-    d = _get(cfg, "distance", None, int)
-    layout = build_layout(d)
-    n1_list = [int(v) for v in _as_list(cfg.get("n1", [8, 16]))]
-    n2_list = [int(v) for v in _as_list(cfg.get("n2", [4]))]
-    transfers = [str(v) for v in _as_list(cfg.get("transfer", ["sqnl"]))]
-    rotated_list = [bool(v) for v in _as_list(cfg.get("rotated", [True]))]
-    bits_list = [int(v) for v in _as_list(cfg.get("bits", [0]))]
-    # training regularization grid; list it to pick the best level downstream
-    reg_bits_list = [int(v) for v in _as_list(cfg.get("reg_bits", [5]))]
-    seed = _get(cfg, "seed", 0, int)
-    shots = _get(cfg, "shots", 100_000, int)
-    eps = _eps_grid(cfg)
+    layout = build_layout(cfg["distance"])
+    seed = cfg["seed"]
 
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    lines = [f"# {provenance(cfg, seed)}", _SWEEP_COLUMNS]
+    lines = [f"# {provenance(parsed, seed)}", _SWEEP_COLUMNS]
     trained = {}
-    cells = list(itertools.product(n1_list, n2_list, transfers, rotated_list,
-                                   bits_list, reg_bits_list))
-    for n1, n2, transfer, rotated, bits, reg_bits in cells:
-        prefix = (f"{d},{n1},{n2},{transfer},{int(rotated)},{bits},"
+    # one net per reg_bits level, so the best can be picked downstream
+    cells = list(itertools.product(cfg["n1"], cfg["n2"], cfg["transfer"],
+                                   cfg["rotated"], cfg["bits"], cfg["reg_bits"]))
+    for cell in cells:
+        n1, n2, transfer, rotated, bits, reg_bits = cell
+        prefix = (f"{layout.d},{n1},{n2},{transfer},{int(rotated)},{bits},"
                   f"{reg_bits},{seed}")
         try:
-            lines.append(prefix + "," + _sweep_cell(
-                cfg, layout, trained, n1, n2, transfer, rotated, bits,
-                reg_bits, seed, shots, eps))
+            lines.append(prefix + "," + _sweep_cell(cfg, layout, trained, cell))
         except Exception as exc:  # the cell is reported, never dropped
             reason = str(exc).replace(",", ";").replace("\n", " ")[:120]
             lines.append(prefix + "," + "," * 10 + f"error:{reason}")
@@ -423,25 +439,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_cell(cfg, layout, trained, n1, n2, transfer, rotated, bits,
-                reg_bits, seed, shots, eps) -> str:
+def _sweep_cell(cfg, layout, trained, cell) -> str:
+    n1, n2, transfer, rotated, bits, reg_bits = cell
     net_key = (n1, n2, transfer, rotated, reg_bits)
-    quant = QuantSpec(bits, _get(cfg, "extra_sample_bit", False, bool)) if bits else None
+    quant = QuantSpec(bits, cfg["extra_sample_bit"]) if bits else None
     net_cfg = NetworkConfig(d=layout.d, n1=n1, n2=n2, transfer=transfer,
                             rotated=rotated, quant=quant)
     if net_key not in trained:
         tc = _train_config({**cfg, "reg_bits": reg_bits})
-        base_cfg = NetworkConfig(d=layout.d, n1=n1, n2=n2, transfer=transfer,
-                                 rotated=rotated)
-        trained[net_key] = train_mod.train_loop(tc, base_cfg, layout)[0]
-    weights = trained[net_key]
-    if bits:
-        full = (train_mod.expand_rotated(net_cfg, weights)
-                if isinstance(weights, BaseWeights) else weights)
-        decoder = eval_mod.NNFixedDecoder(net_cfg, quantize_weights(full, quant))
-    else:
-        decoder = eval_mod.NNFloatDecoder(net_cfg, weights)
-    points = eval_mod.benchmark(decoder, layout, eps, shots, seed)
+        trained[net_key] = train_mod.train_loop(tc, net_cfg, layout)[0]
+    decoder = eval_mod.nn_decoder(net_cfg, trained[net_key], quant)
+    points = eval_mod.benchmark(decoder, layout, _eps_grid(cfg), cfg["shots"],
+                                cfg["seed"])
     try:
         p_th, (lo, hi) = eval_mod.pseudo_threshold(points)
         cross = f"{p_th!r},{lo!r},{hi!r}"

@@ -28,9 +28,8 @@ from . import ped
 from ._fileio import atomic_write
 from .lattice import Layout
 from .mwpm import MwpmDecoder
-from .nn.config import NetworkConfig, QuantizedWeights
-from .nn.fixed import forward_fixed_batch
-from .nn.forward import forward_float_batch
+from .nn import (NetworkConfig, QuantizedWeights, QuantSpec, expand_rotated,
+                 forward_fixed_batch, forward_float_batch, quantize_weights)
 from .noise import EVAL_STREAM_BASE, compute_syndrome_bits, sample_depolarizing_bits
 from .train import target_bits
 
@@ -101,10 +100,8 @@ class NNFloatDecoder:
     name = "nn-float"
 
     def __init__(self, cfg: NetworkConfig, weights):
-        from .nn.forward import _expanded
-
         self.cfg = cfg
-        self.weights = _expanded(cfg, weights)
+        self.weights = expand_rotated(cfg, weights)
         self.weights.validate(cfg)
 
     def predict(self, syn: np.ndarray) -> np.ndarray:
@@ -126,28 +123,30 @@ class NNFixedDecoder:
         return forward_fixed_batch(self.cfg, self.qweights, syn)
 
 
+def nn_decoder(cfg: NetworkConfig, weights, quant: QuantSpec | None = None):
+    """Float decoder of ``weights``, or fixed-point on the grid of ``quant``."""
+    if quant is None:
+        return NNFloatDecoder(cfg, weights)
+    return NNFixedDecoder(cfg, quantize_weights(expand_rotated(cfg, weights), quant))
+
+
 def default_eps_grid(n_points: int = 10, lo: float = 0.03, hi: float = 0.3):
     """Logarithmically spaced physical error rates, the standard test grid."""
     return [float(e) for e in np.geomspace(lo, hi, n_points)]
 
 
-def benchmark(decoder, layout: Layout, eps_list, shots: int, seed: int,
-              fail_mode: str = "either"):
+def benchmark(decoder, layout: Layout, eps_list, shots: int, seed: int):
     """Logical error rate of ``decoder`` at each physical rate.
 
     A shot fails when the predicted class differs from the true logical
-    difference in either bit (``fail_mode="either"``, the default); the
-    per-channel modes ``"x"`` and ``"z"`` count only one output bit.  Shot
-    ``k`` of point ``i`` is drawn from stream ``EVAL_STREAM_BASE + i``, so
-    results are independent of chunking.
+    difference in either bit.  Shot ``k`` of point ``i`` is drawn from
+    stream ``EVAL_STREAM_BASE + i``, so results are independent of chunking.
     """
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise ValueError("eps_list must not be empty")
     if shots <= 0:
         raise ValueError("shots must be positive")
-    if fail_mode not in ("either", "x", "z"):
-        raise ValueError(f"unknown fail_mode {fail_mode!r}")
     points = []
     for i, eps in enumerate(eps_list):
         failures = 0
@@ -159,12 +158,7 @@ def benchmark(decoder, layout: Layout, eps_list, shots: int, seed: int,
             syn = compute_syndrome_bits(layout, x, z)
             tx, tz = target_bits(layout, x, z, syn)
             pred = decoder.predict(syn)
-            if fail_mode == "either":
-                bad = (pred[:, 0] != tx) | (pred[:, 1] != tz)
-            elif fail_mode == "x":
-                bad = pred[:, 0] != tx
-            else:
-                bad = pred[:, 1] != tz
+            bad = (pred[:, 0] != tx) | (pred[:, 1] != tz)
             failures += int(np.count_nonzero(bad))
             done += n
         points.append(BenchmarkPoint.from_counts(eps, failures, shots))

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..lattice import LogicalClass
-from .config import BaseWeights, NetworkConfig, Weights
+from .config import NetworkConfig, Weights
+from .rotated import expand_rotated
 
 
 def transfer(fn: str, x):
@@ -50,13 +51,6 @@ def transfer_deriv(fn: str, x):
     raise ValueError(f"unknown transfer {fn!r}")
 
 
-def _expanded(cfg: NetworkConfig, weights):
-    if isinstance(weights, BaseWeights):
-        from .rotated import expand_rotated
-        return expand_rotated(cfg, weights)
-    return weights
-
-
 def forward_acts(cfg: NetworkConfig, weights: Weights, x: np.ndarray):
     """All layer activations for a batch ``x`` of shape (n, n_in).
 
@@ -72,7 +66,7 @@ def forward_acts(cfg: NetworkConfig, weights: Weights, x: np.ndarray):
 
 def forward_float_batch(cfg: NetworkConfig, weights, syn: np.ndarray) -> np.ndarray:
     """Batched outputs (n, 2) for uint8 syndromes (n, n_in)."""
-    w = _expanded(cfg, weights)
+    w = expand_rotated(cfg, weights)
     x = np.atleast_2d(syn).astype(np.float64)
     if x.shape[1] != cfg.n_in:
         raise ValueError(f"syndrome width {x.shape[1]} != {cfg.n_in}")
@@ -84,7 +78,7 @@ def forward_float(cfg: NetworkConfig, weights, s: np.ndarray):
 
     Returns ``(yx, yz, LogicalClass(yx > 0, yz > 0))``.
     """
-    w = _expanded(cfg, weights)
+    w = expand_rotated(cfg, weights)
     w.validate(cfg)
     out = forward_float_batch(cfg, w, np.atleast_2d(s))[0]
     yx, yz = float(out[0]), float(out[1])

@@ -31,9 +31,11 @@ def _anc_perms(layout: Layout):
     return fwd, inv
 
 
-def expand_rotated(cfg: NetworkConfig, base: BaseWeights,
+def expand_rotated(cfg: NetworkConfig, base: BaseWeights | Weights,
                    layout: Layout | None = None) -> Weights:
-    """Expand quarter-size weights into the full shared parameter set."""
+    """Expand quarter-size weights into the full shared set; full sets pass."""
+    if isinstance(base, Weights):
+        return base
     if not cfg.rotated:
         raise ValueError("config is not rotated")
     base.validate(cfg)

@@ -101,7 +101,7 @@ def loss_and_gradients(cfg: NetworkConfig, weights, x: np.ndarray, t: np.ndarray
     Returns ``(value, grads, outputs)``.
     """
     rotated = isinstance(weights, BaseWeights)
-    full = expand_rotated(cfg, weights) if rotated else weights
+    full = expand_rotated(cfg, weights)
 
     a1, y1, a2, y2, out = forward_acts(cfg, full, x)
     dout = 2.0 * (out - t)

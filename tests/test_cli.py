@@ -1,10 +1,20 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from scdec.cli import main, parse_config_text
+import scdec.eval
+import scdec.train
+from scdec.cli import (
+    CONFIG_KEYS,
+    _train_config,
+    config_hash,
+    main,
+    parse_config_text,
+    resolve_config,
+)
 from scdec.eval import BenchmarkPoint, default_eps_grid, model_eps_l, write_points_csv
 from scdec.eval import FitResult
 
@@ -40,6 +50,88 @@ def test_malformed_config_is_exit_3(tmp_path, capsys):
 def test_missing_config_is_exit_4(capsys):
     code, _, err = run(["train", "--config", "/nonexistent.cfg"], capsys)
     assert code == 4
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def _read_cfg(name):
+    with open(os.path.join(ROOT, "configs", f"{name}.cfg")) as fh:
+        return parse_config_text(fh.read())
+
+
+@pytest.mark.parametrize("name,cmd", [("train-d3", "train"), ("train-d3", "eval"),
+                                      ("mwpm-baseline", "eval"),
+                                      ("sweep-d3", "sweep")])
+def test_example_configs_resolve(name, cmd):
+    parsed = _read_cfg(name)
+    cfg = resolve_config(parsed, axes=cmd == "sweep")
+    assert set(cfg) == set(CONFIG_KEYS) and cfg["distance"] == 3
+    if cmd == "train":
+        assert cfg["n1"] == 16 and _train_config(cfg).p_train == 0.08251
+    if cmd == "sweep":
+        assert cfg["n1"] == [8, 16] and cfg["bits"] == [3, 5, 9]
+        assert cfg["n2"] == [4] and cfg["rotated"] == [True]
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a shot was sampled")
+
+    monkeypatch.setattr(scdec.eval, "sample_depolarizing_bits", refuse)
+    monkeypatch.setattr(scdec.train, "sample_depolarizing_bits", refuse)
+
+
+_CONFIG_ARGV = {
+    "train": ["train", "--set", "distance=3"],
+    "eval": ["eval", "--decoder", "mwpm", "-d", "3"],
+    "sweep": ["sweep", "--set", "distance=3"],
+}
+
+
+@pytest.mark.parametrize("setting", ["n_batch=10", "rotated=flase"])
+@pytest.mark.parametrize("cmd", sorted(_CONFIG_ARGV))
+def test_bad_config_key_is_exit_3(tmp_path, capsys, no_sampling, cmd, setting):
+    """An unknown key or a non-boolean value for a bool key exits 3, names
+    the key and samples no shot."""
+    out = tmp_path / "out"
+    code, _, err = run(_CONFIG_ARGV[cmd] + ["--set", setting, "--out", str(out)],
+                       capsys)
+    assert code == 3 and repr(setting.split("=")[0]) in err
+    assert not out.exists()
+
+
+def test_bool_keys_take_booleans_or_0_1():
+    assert resolve_config({"rotated": 0})["rotated"] is False
+    assert resolve_config({"rotated": [1, False]}, axes=True)["rotated"] == [True, False]
+    for bad in (2, 1.0, "yes please"):
+        with pytest.raises(ValueError, match="rotated"):
+            resolve_config({"rotated": bad})
+
+
+def test_list_value_only_where_a_key_takes_lists():
+    assert resolve_config({"eps_list": 0.1})["eps_list"] == [0.1]
+    assert resolve_config({"n1": [8, 16]}, axes=True)["n1"] == [8, 16]
+    for key in ("n1", "rotated", "lr"):
+        with pytest.raises(ValueError, match=f"'{key}': bad value"):
+            resolve_config({key: [1, 0]})
+    with pytest.raises(ValueError, match="'shots': bad value"):
+        resolve_config({"shots": [1, 2]}, axes=True)
+
+
+def test_readme_key_block_lists_the_key_table():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    parsed = parse_config_text(block)
+    commented = set(re.findall(r"^# ?(\w+)\s*=", block, re.M))
+    assert not set(parsed) & commented
+    assert set(parsed) | commented == set(CONFIG_KEYS)
+    cfg = resolve_config(parsed)
+    for key, spec in CONFIG_KEYS.items():
+        if spec.default is not None:
+            assert cfg[key] == spec.default, key
 
 
 def test_unknown_subcommand_is_exit_2(capsys):
@@ -149,13 +241,22 @@ def test_eval_mwpm_reproducible_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_eval_mwpm_beyond_max_distance_is_exit_3(tmp_path, capsys, monkeypatch):
-    import scdec.eval
+def test_eval_flags_beat_config(tmp_path, capsys):
+    """``--decoder`` and ``-d`` win over the config's ``decoder = mwpm`` and
+    ``distance = 3``; the provenance hash covers the file and ``--set`` only."""
+    path = os.path.join(ROOT, "configs", "mwpm-baseline.cfg")
+    out = tmp_path / "c.csv"
+    sets = ["--set", "shots=200", "--set", "eps_points=4"]
+    code, _, _ = run(["eval", "--config", path, "--decoder", "trivial", "-d", "5"]
+                     + sets + ["--out", str(out)], capsys)
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert {tuple(l.split(",")[:2]) for l in lines[2:]} == {("5", "trivial")}
+    parsed = {**_read_cfg("mwpm-baseline"), "shots": 200, "eps_points": 4}
+    assert f"config={config_hash(parsed)} " in lines[0]
 
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("a shot was sampled")
 
-    monkeypatch.setattr(scdec.eval, "sample_depolarizing_bits", no_sampling)
+def test_eval_mwpm_beyond_max_distance_is_exit_3(tmp_path, capsys, no_sampling):
     out = tmp_path / "c.csv"
     code, _, err = run(["eval", "--decoder", "mwpm", "-d", "13",
                         "--out", str(out)], capsys)

@@ -7,7 +7,6 @@ from scdec import ped
 from scdec.eval import (
     BenchmarkPoint,
     FitResult,
-    MwpmBenchmarkDecoder,
     NoCrossing,
     TrivialDecoder,
     benchmark,
@@ -64,19 +63,6 @@ def test_trivial_decoder_matches_exact_enumeration():
     pts = benchmark(TrivialDecoder(), lay, [p], shots, seed=123)
     sigma = np.sqrt(exact * (1 - exact) / shots)
     assert abs(pts[0].eps_l - exact) < 3 * sigma
-
-
-def test_per_channel_fail_modes():
-    lay = build_layout(3)
-    dec = MwpmBenchmarkDecoder(lay)
-    both = benchmark(dec, lay, [0.15], 20_000, seed=8)[0]
-    only_x = benchmark(dec, lay, [0.15], 20_000, seed=8, fail_mode="x")[0]
-    only_z = benchmark(dec, lay, [0.15], 20_000, seed=8, fail_mode="z")[0]
-    # the OR rate is bounded by the channel rates and their sum
-    assert max(only_x.eps_l, only_z.eps_l) <= both.eps_l
-    assert both.eps_l <= only_x.eps_l + only_z.eps_l
-    with pytest.raises(ValueError):
-        benchmark(dec, lay, [0.1], 10, seed=0, fail_mode="y")
 
 
 def test_benchmark_point_variance():
