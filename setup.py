@@ -1,4 +1,4 @@
-"""Build script: compiles the optional Cython kernel extension.
+"""Build script: compiles the optional C kernel extension.
 
 The package is fully functional without the extension (a numpy fallback is
 selected at import time); the build therefore tolerates a missing compiler.
@@ -26,24 +26,9 @@ class optional_build_ext(build_ext):
                   "falling back to pure-Python backend")
 
 
-def make_extensions():
-    import os
-
-    if not os.path.exists("src/scdec/_kernels/_cykernels.pyx"):
-        return []
-    try:
-        import numpy as np
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    ext = Extension(
-        "scdec._kernels._cykernels",
-        ["src/scdec/_kernels/_cykernels.pyx"],
-        include_dirs=[np.get_include()],
-        define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-        extra_compile_args=["-O3"],
-    )
-    return cythonize([ext], compiler_directives={"language_level": "3"})
-
-
-setup(ext_modules=make_extensions(), cmdclass={"build_ext": optional_build_ext})
+setup(
+    ext_modules=[Extension("scdec._kernels._cykernels",
+                           ["src/scdec/_kernels/_cykernels.c"],
+                           extra_compile_args=["-O3"])],
+    cmdclass={"build_ext": optional_build_ext},
+)

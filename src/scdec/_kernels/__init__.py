@@ -1,9 +1,11 @@
 """Hot numerical kernels with two interchangeable backends.
 
-At import time the compiled Cython extension is preferred; a pure-numpy
-fallback provides identical results (bit for bit) when the extension is
-unavailable.  Set ``SCDEC_BACKEND=python`` to force the fallback, or
-``SCDEC_BACKEND=cython`` to require the extension.
+At import time the compiled extension ``_cykernels``, built from the
+hand-written C source ``_cykernels.c``, is preferred; a pure-numpy fallback
+provides identical results (bit for bit) when the extension is unavailable.
+Set ``SCDEC_BACKEND=python`` to force the fallback, or
+``SCDEC_BACKEND=cython`` (the historical name of the compiled backend) to
+require the extension.
 
 Both backends expose:
 

@@ -1,9 +1,10 @@
 """Pure-numpy reference backend for the hot kernels.
 
-The compiled backend in ``_cykernels.pyx`` must produce bit-identical output
-for every function here; cross-backend equality is enforced by the test
-suite.  Randomness is counter based (Philox4x32-10), so shot ``k`` of stream
-``s`` is reproducible independently of batching or worker count.
+The compiled backend, hand-written C in ``_cykernels.c``, must produce
+bit-identical output for every function here; cross-backend equality is
+enforced by the test suite, which builds that C source.  Randomness is
+counter based (Philox4x32-10), so shot ``k`` of stream ``s`` is reproducible
+independently of batching or worker count.
 """
 
 from __future__ import annotations
@@ -238,13 +239,3 @@ def match_defects(dist: np.ndarray, bnd: np.ndarray) -> np.ndarray:
             mask ^= 1 << v
     return np.array(pair, dtype=np.int32)
 
-
-def match_weight(dist, bnd, pair) -> int:
-    """Total weight of a pairing produced by :func:`match_defects`."""
-    total = 0
-    for i, j in enumerate(pair):
-        if j < 0:
-            total += int(bnd[i])
-        elif j > i:
-            total += int(dist[i][j])
-    return total

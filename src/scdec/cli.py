@@ -86,6 +86,13 @@ def _bool(value) -> bool:
     raise ValueError(value)
 
 
+def _int(value) -> int:
+    """An integer; integral floats such as ``1e5`` pass, ``8.7`` does not."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
 def _floats(value) -> list:
     return [float(v) for v in (value if isinstance(value, list) else [value])]
 
@@ -106,28 +113,28 @@ _GRID = inspect.signature(eval_mod.default_eps_grid).parameters
 # the tuple given there or ``[default]``).  One file can serve several
 # subcommands (``train-d3.cfg`` serves ``train`` and ``eval``), hence one table.
 CONFIG_KEYS = {
-    "distance": Key(int),
+    "distance": Key(_int),
     "decoder": Key(str),
-    "n1": Key(int, 16, axis=(8, 16)),
-    "n2": Key(int, 4, axis=True),
+    "n1": Key(_int, 16, axis=(8, 16)),
+    "n2": Key(_int, 4, axis=True),
     "transfer": Key(str, "sqnl", axis=True),
     "rotated": Key(_bool, True, axis=True),
-    "bits": Key(int, 0, axis=True),
+    "bits": Key(_int, 0, axis=True),
     "extra_sample_bit": Key(_bool, False),
-    "batch_size": Key(int, _TRAIN["batch_size"]),
-    "n_batches": Key(int, _TRAIN["n_batches"]),
+    "batch_size": Key(_int, _TRAIN["batch_size"]),
+    "n_batches": Key(_int, _TRAIN["n_batches"]),
     "lr": Key(float, _TRAIN["lr"]),
     "beta1": Key(float, _TRAIN["beta1"]),
     "beta2": Key(float, _TRAIN["beta2"]),
     "adam_eps": Key(float, _TRAIN["adam_eps"]),
     "reg_scale": Key(float, _TRAIN["reg_scale"]),
-    "reg_bits": Key(int, _TRAIN["reg_bits"], axis=True),
+    "reg_bits": Key(_int, _TRAIN["reg_bits"], axis=True),
     "p_train": Key(float, _TRAIN["p_train"]),
-    "seed": Key(int, _TRAIN["seed"]),
-    "log_every": Key(int, _TRAIN["log_every"]),
-    "shots": Key(int, 100_000),
+    "seed": Key(_int, _TRAIN["seed"]),
+    "log_every": Key(_int, _TRAIN["log_every"]),
+    "shots": Key(_int, 100_000),
     "eps_list": Key(_floats),
-    "eps_points": Key(int, _GRID["n_points"].default),
+    "eps_points": Key(_int, _GRID["n_points"].default),
     "eps_min": Key(float, _GRID["lo"].default),
     "eps_max": Key(float, _GRID["hi"].default),
 }

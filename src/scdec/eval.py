@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import ped
 from ._fileio import atomic_write
@@ -214,6 +213,9 @@ def _model_log(theta, eps_p):
 
 def fit_model(points) -> FitResult:
     """Least-squares fit of the error-rate model in the log domain."""
+    # imported here: scipy.optimize is most of the time ``import scdec.cli`` took
+    from scipy.optimize import least_squares
+
     pts = [p for p in points if p.eps_l > 0]
     if len(pts) < 4:
         raise ValueError("need at least 4 points with eps_l > 0")

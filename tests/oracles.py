@@ -119,6 +119,18 @@ def brute_force_boundary_matching(dist, bnd):
     return rec(tuple(range(k)))
 
 
+def match_weight(dist, bnd, pair) -> int:
+    """Total weight of a pair array (``pair[i] = -1``: defect ``i`` goes to
+    the boundary)."""
+    total = 0
+    for i, j in enumerate(pair):
+        if j < 0:
+            total += int(bnd[i])
+        elif j > i:
+            total += int(dist[i][j])
+    return total
+
+
 def subset_dp_matching(dist, bnd):
     """Pair array of the bottom-up subset DP over all 2^k defect subsets.
 

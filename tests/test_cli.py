@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -102,6 +104,28 @@ def test_bad_config_key_is_exit_3(tmp_path, capsys, no_sampling, cmd, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["n1=8.7", "shots=2.5"])
+@pytest.mark.parametrize("cmd", sorted(_CONFIG_ARGV))
+def test_non_integral_int_key_is_exit_3(tmp_path, capsys, no_sampling, cmd, setting):
+    """An int key given a non-integral number exits 3 before any shot is
+    sampled, instead of truncating it."""
+    out = tmp_path / "out"
+    code, _, err = run(_CONFIG_ARGV[cmd] + ["--set", setting, "--out", str(out)],
+                       capsys)
+    assert code == 3 and repr(setting.split("=")[0]) in err
+    assert not out.exists()
+
+
+def test_int_keys_take_integral_values_only():
+    cfg = resolve_config({"shots": parse_config_text("shots = 1e5")["shots"], "n1": 8.0})
+    assert cfg["shots"] == 100_000 and type(cfg["shots"]) is int
+    assert cfg["n1"] == 8 and type(cfg["n1"]) is int
+    assert resolve_config({"n1": [8.0, 16]}, axes=True)["n1"] == [8, 16]
+    for bad in (8.7, float("inf"), float("nan"), "eight", [8, 8.5]):
+        with pytest.raises(ValueError, match="'n1': bad value"):
+            resolve_config({"n1": bad}, axes=isinstance(bad, list))
+
+
 def test_bool_keys_take_booleans_or_0_1():
     assert resolve_config({"rotated": 0})["rotated"] is False
     assert resolve_config({"rotated": [1, False]}, axes=True)["rotated"] == [True, False]
@@ -132,6 +156,20 @@ def test_readme_key_block_lists_the_key_table():
     for key, spec in CONFIG_KEYS.items():
         if spec.default is not None:
             assert cfg[key] == spec.default, key
+
+
+def test_importing_the_cli_leaves_scipy_optimize_out():
+    """Only ``fit_model`` imports ``scipy.optimize``, which would otherwise be
+    most of the start-up time of every ``scdec`` command."""
+    src = os.path.dirname(os.path.dirname(scdec.eval.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, scdec.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_subcommand_is_exit_2(capsys):

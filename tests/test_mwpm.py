@@ -5,10 +5,10 @@ from scdec.lattice import build_layout, logical_class
 from scdec.mwpm import MwpmDecoder, _large_matching, decode_mwpm
 from scdec.noise import Syndrome, compute_syndrome_bits, sample_depolarizing_bits
 from scdec._kernels import MATCH_DP_MAX, match_defects, python_backend
-from scdec._kernels._pykernels import match_weight
 
 from oracles import (
     brute_force_boundary_matching,
+    match_weight,
     subset_dp_matching,
     union_find_components,
 )
