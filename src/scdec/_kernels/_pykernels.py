@@ -4,7 +4,9 @@ The compiled backend, hand-written C in ``_cykernels.c``, must produce
 bit-identical output for every function here; cross-backend equality is
 enforced by the test suite, which builds that C source.  Randomness is
 counter based (Philox4x32-10), so shot ``k`` of stream ``s`` is reproducible
-independently of batching or worker count.
+independently of batching or worker count.  Integer products run through
+float BLAS only where every sum is provably exact, and the kernels check
+that bound.
 """
 
 from __future__ import annotations
@@ -12,14 +14,53 @@ from __future__ import annotations
 import numpy as np
 
 # Philox4x32-10 round constants.
-_M0 = np.uint64(0xD2511F53)
-_M1 = np.uint64(0xCD9E8D57)
+_MULT = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)  # multiply c0, c2
 _W0 = 0x9E3779B9
 _W1 = 0xBB67AE85
 _MASK32 = 0xFFFFFFFF
 
+# Blocks per Philox pass: the (4, n) state and (2, n) product scratch, 768 KiB
+# of uint64 at this size, stay in cache through the ten rounds.
+_PASS = 1 << 14
+
+# Sums of 0/1 products are exact in float32 below 2^24 (float64: 2^53),
+# whatever order BLAS adds them in.
+_F32_EXACT = 1 << 24
+_F64_EXACT = 1 << 53
+
+# Rows per pass of the BLAS products, so their float copies stay in cache.
+_ROWS = 1 << 12
+
 # Subset-DP matcher memory cap: 2**22 table entries (16 MiB as int32).
 MATCH_DP_MAX = 22
+
+
+def _round_keys(key) -> np.ndarray:
+    """(10, 2, 1) uint64: the key pair (k0, k1) of each round."""
+    k0 = int(key[0]) & _MASK32
+    k1 = int(key[1]) & _MASK32
+    keys = np.empty((10, 2, 1), dtype=np.uint64)
+    for r in range(10):
+        keys[r] = ((k0,), (k1,))
+        k0 = (k0 + _W0) & _MASK32
+        k1 = (k1 + _W1) & _MASK32
+    return keys
+
+
+def _rounds(state: np.ndarray, prod: np.ndarray, keys: np.ndarray) -> None:
+    """Ten Philox4x32 rounds in place.
+
+    ``state`` is (4, m) uint64 holding the 32-bit words (c0, c1, c2, c3) of
+    ``m`` blocks; ``prod`` is (2, m) uint64 scratch.
+    """
+    ac, bd = state[0::2], state[1::2]       # (c0, c2), (c1, c3)
+    swapped = prod[::-1]                    # (c2 * M1, c0 * M0)
+    for k in keys:
+        np.multiply(ac, _MULT, out=prod)
+        np.right_shift(swapped, 32, out=ac)
+        ac ^= bd
+        ac ^= k
+        np.bitwise_and(swapped, _MASK32, out=bd)
 
 
 def philox4x32(ctr: np.ndarray, key) -> np.ndarray:
@@ -28,44 +69,49 @@ def philox4x32(ctr: np.ndarray, key) -> np.ndarray:
     ctr: (n, 4) uint32 counters; key: pair of uint32.  Returns (n, 4) uint32.
     """
     ctr = np.asarray(ctr, dtype=np.uint32)
-    c0 = ctr[:, 0].copy()
-    c1 = ctr[:, 1].copy()
-    c2 = ctr[:, 2].copy()
-    c3 = ctr[:, 3].copy()
-    k0 = int(key[0]) & _MASK32
-    k1 = int(key[1]) & _MASK32
-    for _ in range(10):
-        p0 = c0.astype(np.uint64) * _M0
-        p1 = c2.astype(np.uint64) * _M1
-        hi0 = (p0 >> np.uint64(32)).astype(np.uint32)
-        lo0 = p0.astype(np.uint32)
-        hi1 = (p1 >> np.uint64(32)).astype(np.uint32)
-        lo1 = p1.astype(np.uint32)
-        c0 = hi1 ^ c1 ^ np.uint32(k0)
-        c1 = lo1
-        c2 = hi0 ^ c3 ^ np.uint32(k1)
-        c3 = lo0
-        k0 = (k0 + _W0) & _MASK32
-        k1 = (k1 + _W1) & _MASK32
-    return np.stack([c0, c1, c2, c3], axis=1)
+    n = len(ctr)
+    out = np.empty((n, 4), dtype=np.uint32)
+    keys = _round_keys(key)
+    state = np.empty((4, min(n, _PASS)), dtype=np.uint64)
+    prod = np.empty((2, min(n, _PASS)), dtype=np.uint64)
+    for a in range(0, n, _PASS):
+        m = min(_PASS, n - a)
+        st = state[:, :m]
+        st[...] = ctr[a:a + m].T
+        _rounds(st, prod[:, :m], keys)
+        out[a:a + m].T[...] = st
+    return out
 
 
 def _raw_u32(n_words_per_shot: int, seed: int, stream: int, shot0: int, n_shots: int):
-    """Uniform uint32 words, shaped (n_shots, n_words_per_shot).
+    """Uniform uint32 words, one pass of whole shots at a time.
 
-    Counter layout per 128-bit block: (shot_lo, shot_hi, block, stream);
-    key = (seed_lo, seed_hi).  Block ``j`` supplies words 4j..4j+3 of a shot.
+    Yields ``(first, words)``: ``words`` is (shots, n_words_per_shot) for
+    shots ``shot0 + first ...``, a view of scratch that the next pass
+    overwrites.  Counter layout per 128-bit block: (shot_lo, shot_hi, block,
+    stream); key = (seed_lo, seed_hi).  Block ``j`` supplies words
+    4j..4j+3 of a shot.
     """
-    n_blocks = (n_words_per_shot + 3) // 4
-    shots = np.arange(shot0, shot0 + n_shots, dtype=np.uint64)
-    ctr = np.empty((n_shots, n_blocks, 4), dtype=np.uint32)
-    ctr[:, :, 0] = (shots & np.uint64(_MASK32)).astype(np.uint32)[:, None]
-    ctr[:, :, 1] = (shots >> np.uint64(32)).astype(np.uint32)[:, None]
-    ctr[:, :, 2] = np.arange(n_blocks, dtype=np.uint32)[None, :]
-    ctr[:, :, 3] = np.uint32(stream & _MASK32)
-    key = (seed & _MASK32, (seed >> 32) & _MASK32)
-    words = philox4x32(ctr.reshape(-1, 4), key)
-    return words.reshape(n_shots, n_blocks * 4)[:, :n_words_per_shot]
+    n_blocks = max(1, (n_words_per_shot + 3) // 4)
+    per = max(1, min(_PASS // n_blocks, n_shots))
+    state = np.empty((4, per * n_blocks), dtype=np.uint64)
+    prod = np.empty((2, per * n_blocks), dtype=np.uint64)
+    words = np.empty((per, n_blocks * 4), dtype=np.uint32)
+    block = np.tile(np.arange(n_blocks, dtype=np.uint64), per)
+    ahead = np.arange(per, dtype=np.uint64)
+    keys = _round_keys((seed & _MASK32, (seed >> 32) & _MASK32))
+    for first in range(0, n_shots, per):
+        s = min(per, n_shots - first)
+        m = s * n_blocks
+        st = state[:, :m]
+        shots = ahead[:s] + np.uint64(shot0 + first)
+        st[0].reshape(s, n_blocks)[...] = (shots & _MASK32)[:, None]
+        st[1].reshape(s, n_blocks)[...] = (shots >> 32)[:, None]
+        st[2] = block[:m]
+        st[3] = stream & _MASK32
+        _rounds(st, prod[:, :m], keys)
+        words[:s].reshape(m, 4).T[...] = st
+        yield first, words[:s, :n_words_per_shot]
 
 
 def sample_pauli_bits(n_data: int, p: float, seed: int, stream: int,
@@ -73,33 +119,73 @@ def sample_pauli_bits(n_data: int, p: float, seed: int, stream: int,
     """Depolarizing samples: each qubit errs with probability ``p`` and then
     draws X/Y/Z uniformly.  Returns (x_bits, z_bits) uint8 (n_shots, n_data).
     """
-    u = _raw_u32(n_data, seed, stream, shot0, n_shots).astype(np.uint64)
     thr = int(round(p * 4294967296.0))  # P(error) = thr / 2^32, exact at p in {0,1}
     t1 = thr // 3
     t2 = (2 * thr) // 3
-    err = u < thr
-    x = (err & (u < t2)).astype(np.uint8)          # X or Y component
-    z = (err & (u >= t1)).astype(np.uint8)         # Y or Z component
-    return x, z
+    x = np.empty((n_shots, n_data), dtype=bool)
+    z = np.empty((n_shots, n_data), dtype=bool)
+    for first, u in _raw_u32(n_data, seed, stream, shot0, n_shots):
+        rows = slice(first, first + len(u))
+        np.less(u, t2, out=x[rows])             # X or Y: u < t2 <= thr
+        np.greater_equal(u, t1, out=z[rows])    # Y or Z: t1 <= u < thr
+        z[rows] &= u < thr
+    return x.view(np.uint8), z.view(np.uint8)
+
+
+def _low_bit_f32(a) -> np.ndarray:
+    """Entries of ``a`` reduced to their low bit, as float32."""
+    a = np.asarray(a)
+    return (a if a.dtype == bool else a & 1).astype(np.float32)
+
+
+def _check_inner(*lengths) -> None:
+    """Reject GF(2) products whose sums could leave exact float32 range."""
+    if max(lengths) >= _F32_EXACT:
+        raise ValueError(f"GF(2) product over {max(lengths)} terms: "
+                         "float32 sums are exact only below 2^24")
+
+
+def _gf2_into(bits: np.ndarray, mat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[:] = bits @ mat`` over GF(2), ``mat`` already float32 0/1.
+
+    Runs ``_ROWS`` rows at a time through float32 BLAS, so the float copy of
+    ``bits`` stays in cache.
+    """
+    for a in range(0, len(bits), _ROWS):
+        prod = _low_bit_f32(bits[a:a + _ROWS]) @ mat
+        np.bitwise_and(prod.astype(np.int32), 1, out=out[a:a + _ROWS], casting="unsafe")
+    return out
+
+
+def gf2_matmul(bits, mat):
+    """(n, k) @ (k, m) over GF(2); returns uint8.  Only the low bit of each
+    entry counts; ``k >= 2^24`` raises ValueError."""
+    bits = np.atleast_2d(np.asarray(bits))
+    mat = np.asarray(mat)
+    _check_inner(bits.shape[-1], len(mat))
+    mat = _low_bit_f32(mat)
+    return _gf2_into(bits, mat, np.empty((len(bits),) + mat.shape[1:], dtype=np.uint8))
 
 
 def syndrome_bits(x_bits, z_bits, hx, hz):
     """Syndrome of a batch of error configurations.
 
     X-ancilla rows (``hx``) read the z-plane, Z-ancilla rows the x-plane.
-    Returns uint8 (n, n_anc) with X-ancilla bits first.
+    Returns uint8 (n, n_anc) with X-ancilla bits first.  ``n_data >= 2^24``
+    raises ValueError.
     """
     x_bits = np.atleast_2d(x_bits)
     z_bits = np.atleast_2d(z_bits)
-    sx = z_bits.astype(np.int64) @ hx.T.astype(np.int64)
-    sz = x_bits.astype(np.int64) @ hz.T.astype(np.int64)
-    return (np.concatenate([sx, sz], axis=1) & 1).astype(np.uint8)
-
-
-def gf2_matmul(bits, mat):
-    """(n, k) @ (k, m) over GF(2); returns uint8."""
-    bits = np.atleast_2d(np.asarray(bits))
-    return (bits.astype(np.int64) @ np.asarray(mat, dtype=np.int64) & 1).astype(np.uint8)
+    hx = np.asarray(hx)
+    hz = np.asarray(hz)
+    _check_inner(x_bits.shape[-1], z_bits.shape[-1], hx.shape[-1], hz.shape[-1])
+    if len(x_bits) != len(z_bits):
+        raise ValueError("x and z planes hold different numbers of shots")
+    nx = len(hx)
+    out = np.empty((len(x_bits), nx + len(hz)), dtype=np.uint8)
+    _gf2_into(z_bits, _low_bit_f32(hx).T, out[:, :nx])
+    _gf2_into(x_bits, _low_bit_f32(hz).T, out[:, nx:])
+    return out
 
 
 # Fixed-point transfer function ids.
@@ -110,25 +196,40 @@ TRANSFER_RELU = 1
 def _sqnl_fixed(acc: np.ndarray, frac: int, bits: int) -> np.ndarray:
     """Saturating quadratic nonlinearity on integers.
 
-    ``acc`` holds values ``A * 2^-frac``; the result is the transfer output
-    truncated (floor) to ``bits``-bit two's complement, i.e. integers in
-    [-2^(bits-1), 2^(bits-1) - 1] at scale ``2^-(bits-1)``.
+    ``acc`` holds int64 values ``A * 2^-frac``; the result is the transfer
+    output truncated (floor) to ``bits``-bit two's complement, i.e. integers
+    in [-2^(bits-1), 2^(bits-1) - 1] at scale ``2^-(bits-1)``.  Clipping
+    ``A`` to [-1, 1] first gives exactly +-2^(bits-1) there, which the final
+    clip saturates as the transfer does.
     """
-    acc = acc.astype(np.int64)
-    one = np.int64(1) << frac
-    maxq = (1 << (bits - 1)) - 1
-    minq = -(1 << (bits - 1))
-    shift = 2 * frac - (bits - 1)
-    n = (acc << 1) * one - acc * np.abs(acc)      # (2a -+ a^2) at scale 2^-2f
-    mid = n >> shift
-    out = np.where(acc >= one, maxq, np.where(acc <= -one, minq, mid))
-    return np.clip(out, minq, maxq).astype(np.int64)
+    one = 1 << frac
+    c = np.clip(acc, -one, one)
+    sq = np.abs(c)
+    sq *= c
+    c <<= frac + 1
+    c -= sq                                     # (2a -+ a^2) at scale 2^-2f
+    c >>= 2 * frac - (bits - 1)
+    return np.clip(c, -(1 << (bits - 1)), (1 << (bits - 1)) - 1, out=c)
 
 
 def _relu_fixed(acc: np.ndarray, frac: int, bits: int) -> np.ndarray:
-    acc = np.maximum(acc.astype(np.int64), 0)
-    shift = frac - (bits - 1)
-    return np.minimum(acc >> shift, (1 << (bits - 1)) - 1)
+    """ReLU on integers, scaled as :func:`_sqnl_fixed`."""
+    c = np.maximum(acc, 0)
+    c >>= frac - (bits - 1)
+    return np.minimum(c, (1 << (bits - 1)) - 1, out=c)
+
+
+def _f64_weights(w, a_max: int) -> np.ndarray:
+    """``w.T`` as float64 for products ``a @ w.T`` with ``|a| <= a_max``.
+
+    Such a product is exact while every sum stays below 2^53; ValueError
+    when the operand bounds do not guarantee that.
+    """
+    w = np.asarray(w, dtype=np.int64)
+    if w.shape[-1] * a_max * int(np.abs(w).max(initial=0)) >= _F64_EXACT:
+        raise ValueError("fixed-point sums could reach 2^53, "
+                         "beyond exact float64 arithmetic")
+    return w.T.astype(np.float64)
 
 
 def fixed_forward_bits(syn, w1, b1, w2, b2, wout, bout,
@@ -138,29 +239,39 @@ def fixed_forward_bits(syn, w1, b1, w2, b2, wout, bout,
     Layer-1 inputs are single bits (multiply = AND with the weight), weights
     and biases are integers at scale ``2^-wfrac``, hidden activations are
     truncated to ``abits``-bit two's complement after the nonlinearity, and
-    output nodes report sign bits of their exact accumulated sum.
+    output nodes report sign bits of their exact accumulated sum.  The
+    weighted sums run ``_ROWS`` shots at a time through float64 BLAS, exact
+    by the operand bounds (inputs below 2^8, activations at most
+    2^(abits-1)); the nonlinearity is int64.
 
     syn: (n, n_in) uint8.  Returns (n, 2) uint8 class bits.
     """
-    syn = np.atleast_2d(syn).astype(np.int64)
-    a1 = syn @ np.asarray(w1, dtype=np.int64).T + np.asarray(b1, dtype=np.int64)
     if transfer == TRANSFER_SQNL:
         nonlin = _sqnl_fixed
     elif transfer == TRANSFER_RELU:
         nonlin = _relu_fixed
     else:
         raise ValueError(f"fixed-point transfer id {transfer} unsupported")
-    y1 = nonlin(a1, wfrac, abits)
-
-    a2 = y1 @ np.asarray(w2, dtype=np.int64).T + (
-        np.asarray(b2, dtype=np.int64) << (abits - 1)
-    )
-    y2 = nonlin(a2, wfrac + abits - 1, abits)
-
-    aout = y2 @ np.asarray(wout, dtype=np.int64).T + (
-        np.asarray(bout, dtype=np.int64) << (abits - 1)
-    )
-    return (aout > 0).astype(np.uint8)
+    syn = np.atleast_2d(np.asarray(syn)).astype(np.uint8, copy=False)
+    a_max = 1 << (abits - 1)
+    w1t = _f64_weights(w1, 255)
+    w2t = _f64_weights(w2, a_max)
+    woutt = _f64_weights(wout, a_max)
+    b1 = np.asarray(b1, dtype=np.int64)
+    b2 = np.asarray(b2, dtype=np.int64) << (abits - 1)
+    bout = np.asarray(bout, dtype=np.int64) << (abits - 1)
+    out = np.empty((len(syn), woutt.shape[1]), dtype=np.uint8)
+    for a in range(0, len(syn), _ROWS):
+        acc = (syn[a:a + _ROWS].astype(np.float64) @ w1t).astype(np.int64)
+        acc += b1
+        y1 = nonlin(acc, wfrac, abits)
+        acc = (y1.astype(np.float64) @ w2t).astype(np.int64)
+        acc += b2
+        y2 = nonlin(acc, wfrac + abits - 1, abits)
+        acc = (y2.astype(np.float64) @ woutt).astype(np.int64)
+        acc += bout
+        np.greater(acc, 0, out=out[a:a + _ROWS])
+    return out
 
 
 def match_defects(dist: np.ndarray, bnd: np.ndarray) -> np.ndarray:

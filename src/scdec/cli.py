@@ -312,9 +312,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if not os.path.exists(args.input):
-        raise MissingInput(f"curve file not found: {args.input}")
-    points, distance, decoder = eval_mod.read_points_csv(args.input)
+    _, header, body = _read_table(args.input, "curve file", eval_mod.CURVE_COLUMNS)
+    points, distance, decoder = eval_mod.parse_points(header, body)
     if not points:
         raise ConfigError(f"no benchmark points in {args.input}")
     try:
@@ -424,6 +423,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs a 'distance' key")
     layout = build_layout(cfg["distance"])
     seed = cfg["seed"]
+    # every training config and its p_train are checked before a cell trains
+    train_cfgs = {rb: _train_config({**cfg, "reg_bits": rb}) for rb in cfg["reg_bits"]}
+    for tc in train_cfgs.values():
+        tc.resolved_p_train(layout.d)
 
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     lines = [f"# {provenance(parsed, seed)}", _SWEEP_COLUMNS]
@@ -436,7 +439,7 @@ def cmd_sweep(args) -> int:
         prefix = (f"{layout.d},{n1},{n2},{transfer},{int(rotated)},{bits},"
                   f"{reg_bits},{seed}")
         try:
-            lines.append(prefix + "," + _sweep_cell(cfg, layout, trained, cell))
+            lines.append(prefix + "," + _sweep_cell(cfg, layout, train_cfgs, trained, cell))
         except Exception as exc:  # the cell is reported, never dropped
             reason = str(exc).replace(",", ";").replace("\n", " ")[:120]
             lines.append(prefix + "," + "," * 10 + f"error:{reason}")
@@ -446,15 +449,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_cell(cfg, layout, trained, cell) -> str:
+def _sweep_cell(cfg, layout, train_cfgs, trained, cell) -> str:
     n1, n2, transfer, rotated, bits, reg_bits = cell
     net_key = (n1, n2, transfer, rotated, reg_bits)
     quant = QuantSpec(bits, cfg["extra_sample_bit"]) if bits else None
     net_cfg = NetworkConfig(d=layout.d, n1=n1, n2=n2, transfer=transfer,
                             rotated=rotated, quant=quant)
     if net_key not in trained:
-        tc = _train_config({**cfg, "reg_bits": reg_bits})
-        trained[net_key] = train_mod.train_loop(tc, net_cfg, layout)[0]
+        trained[net_key] = train_mod.train_loop(train_cfgs[reg_bits], net_cfg, layout)[0]
     decoder = eval_mod.nn_decoder(net_cfg, trained[net_key], quant)
     points = eval_mod.benchmark(decoder, layout, _eps_grid(cfg), cfg["shots"],
                                 cfg["seed"])

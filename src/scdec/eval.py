@@ -37,6 +37,9 @@ Z999 = 3.2905267314919255
 
 _CHUNK = 1 << 16
 
+# Header of a curve CSV (write_points_csv)
+CURVE_COLUMNS = ("distance", "decoder", "eps_p", "eps_l", "shots", "variance")
+
 
 class NoCrossing(ValueError):
     """The measured curve never crosses the eps_l = eps_p line."""
@@ -257,7 +260,7 @@ def write_points_csv(path, points, *, distance: int, decoder: str,
     lines = []
     if header_note:
         lines.append(f"# {header_note}")
-    lines.append("distance,decoder,eps_p,eps_l,shots,variance")
+    lines.append(",".join(CURVE_COLUMNS))
     for p in points:
         lines.append(f"{distance},{decoder},{float(p.eps_p)!r},"
                      f"{float(p.eps_l)!r},{p.shots},{float(p.variance)!r}")
@@ -267,17 +270,28 @@ def write_points_csv(path, points, *, distance: int, decoder: str,
 
 def read_points_csv(path):
     """Inverse of :func:`write_points_csv`; returns (points, distance, decoder)."""
+    with open(path) as fh:
+        lines = [l.strip() for l in fh if l.strip() and not l.startswith("#")]
+    if not lines:
+        return [], None, None
+    return parse_points(lines[0].split(","), lines[1:])
+
+
+def parse_points(header, rows):
+    """(points, distance, decoder) from the data rows of a curve table whose
+    header cells ``header`` name every one of ``CURVE_COLUMNS``."""
+    idx = [header.index(c) for c in CURVE_COLUMNS]
     points = []
     distance = None
     decoder = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("distance,"):
-                continue
-            dist, dec, eps_p, eps_l, shots, var = line.split(",")
-            distance = int(dist)
-            decoder = dec
-            points.append(BenchmarkPoint(float(eps_p), float(eps_l), int(shots),
-                                         float(var)))
+    for line in rows:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"curve row has {len(cells)} cells, header has "
+                             f"{len(header)}: {line!r}")
+        dist, dec, eps_p, eps_l, shots, var = (cells[i] for i in idx)
+        distance = int(dist)
+        decoder = dec
+        points.append(BenchmarkPoint(float(eps_p), float(eps_l), int(shots),
+                                     float(var)))
     return points, distance, decoder

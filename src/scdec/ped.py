@@ -99,11 +99,11 @@ def decode_tables(d: int):
 
 
 @lru_cache(maxsize=None)
-def cut_parity_vectors(d: int):
-    """Syndrome-to-cut-parity vectors ``(vlx, vlz)`` of the decoder output.
+def cut_parity_matrix(d: int):
+    """Syndrome-to-cut-parity matrix of the decoder output, ``(n_anc, 2)``.
 
-    ``(s @ vlx) & 1`` equals the centre-row X-plane parity of ``decode(s)``;
-    likewise ``vlz`` for the centre-column Z-plane parity.
+    Over GF(2), ``s @ m[:, 0]`` equals the centre-row X-plane parity of
+    ``decode(s)`` and ``s @ m[:, 1]`` the centre-column Z-plane parity.
     """
     from .lattice import build_layout
 
@@ -111,9 +111,8 @@ def cut_parity_vectors(d: int):
     px, pz = decode_tables(d)
     cut_z = np.fromiter(sorted(layout.logical_cut_z), dtype=np.intp)
     cut_x = np.fromiter(sorted(layout.logical_cut_x), dtype=np.intp)
-    vlx = px[:, cut_z].sum(axis=1).astype(np.uint8) & 1
-    vlz = pz[:, cut_x].sum(axis=1).astype(np.uint8) & 1
-    return vlx, vlz
+    return np.stack([px[:, cut_z].sum(axis=1), pz[:, cut_x].sum(axis=1)],
+                    axis=1).astype(np.uint8) & 1
 
 
 def decode(layout: Layout, s: Syndrome) -> ErrorConfig:
@@ -137,8 +136,5 @@ def decode_bits(layout: Layout, syn: np.ndarray):
 def decode_cut_parities(layout: Layout, syn: np.ndarray):
     """Centre-cut parities of ``decode(syn)`` without forming the planes.
     Returns ``(lx, lz)`` uint8 arrays of length ``n``."""
-    syn = np.atleast_2d(syn)
-    vlx, vlz = cut_parity_vectors(layout.d)
-    lx = (syn.astype(np.int64) @ vlx.astype(np.int64)) & 1
-    lz = (syn.astype(np.int64) @ vlz.astype(np.int64)) & 1
-    return lx.astype(np.uint8), lz.astype(np.uint8)
+    par = _kernels.gf2_matmul(syn, cut_parity_matrix(layout.d))
+    return par[:, 0], par[:, 1]

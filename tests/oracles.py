@@ -208,3 +208,42 @@ def enumerate_pauli_configs(n_data):
     z = ((configs == 2) | (configs == 3)).astype(np.uint8)
     nerr = (configs != 0).sum(axis=1).astype(np.int64)
     return x, z, nerr
+
+
+def philox_scalar(ctr, key, rounds=10):
+    """Reference Philox4x32 (Salmon et al., SC'11) on one block:
+    multiply-high/low, xor with bumped keys."""
+    M = 0xFFFFFFFF
+    c = list(int(x) & M for x in ctr)
+    k0, k1 = int(key[0]) & M, int(key[1]) & M
+    for _ in range(rounds):
+        p0 = c[0] * 0xD2511F53
+        p1 = c[2] * 0xCD9E8D57
+        c = [((p1 >> 32) ^ c[1] ^ k0) & M, p1 & M,
+             ((p0 >> 32) ^ c[3] ^ k1) & M, p0 & M]
+        k0 = (k0 + 0x9E3779B9) & M
+        k1 = (k1 + 0xBB67AE85) & M
+    return c
+
+
+def pauli_bits_scalar(n_data, p, seed, stream, shot0, n_shots):
+    """Depolarizing samples one word at a time: shot ``s`` draws word ``w``
+    from block ``w // 4`` with counter (s_lo, s_hi, block, stream) and key
+    (seed_lo, seed_hi); the qubit errs when the word is below
+    ``thr = round(p * 2^32)``, with X for words below ``2 thr // 3`` and Z
+    for words from ``thr // 3`` (both: Y)."""
+    M = 0xFFFFFFFF
+    thr = int(round(p * 2 ** 32))
+    key = (seed & M, (seed >> 32) & M)
+    x = np.zeros((n_shots, n_data), dtype=np.uint8)
+    z = np.zeros((n_shots, n_data), dtype=np.uint8)
+    for i in range(n_shots):
+        s = shot0 + i
+        words = []
+        for block in range((n_data + 3) // 4):
+            words += philox_scalar((s & M, s >> 32, block, stream), key)
+        for q, u in enumerate(words[:n_data]):
+            if u < thr:
+                x[i, q] = u < 2 * thr // 3
+                z[i, q] = u >= thr // 3
+    return x, z

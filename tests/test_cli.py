@@ -352,6 +352,20 @@ def test_fit_missing_input_is_exit_4(capsys):
     assert run(["fit", "--input", "/does/not/exist.csv"], capsys)[0] == 4
 
 
+def test_fit_without_header_row_is_exit_3(tmp_path, capsys):
+    src = tmp_path / "curve.csv"
+    src.write_text("# prov\n\n# only comments\n")
+    code, _, err = run(["fit", "--input", str(src)], capsys)
+    assert code == 3 and "no header row" in err
+
+
+def test_fit_missing_column_is_exit_3(tmp_path, capsys):
+    src = tmp_path / "curve.csv"
+    src.write_text("# prov\ndistance,decoder,eps_p,shots,variance\n3,mwpm,0.1,100,0.0\n")
+    code, _, err = run(["fit", "--input", str(src)], capsys)
+    assert code == 3 and "column not found: 'eps_l'" in err
+
+
 # ------------------------------------------------------------ cost/sweep --
 
 def test_cost_json(capsys):
@@ -419,6 +433,19 @@ def test_sweep_marks_failed_cells(tmp_path, capsys):
     assert code == 0
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
     assert len(rows) == 1 and "error:" in rows[0]
+
+
+def test_sweep_without_default_p_train_is_exit_3(tmp_path, capsys, no_sampling, monkeypatch):
+    """d=11 has no default training error rate: sweep exits 3 before any
+    cell trains, instead of writing the error into every cell."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell trained")
+
+    monkeypatch.setattr(scdec.train, "train_loop", refuse)
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(["sweep", "--set", "distance=11", "--out", str(out)], capsys)
+    assert code == 3 and "no default training error rate for d=11" in err
+    assert not out.exists()
 
 
 def test_cost_budget_report(tmp_path, capsys):

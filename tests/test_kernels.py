@@ -14,20 +14,7 @@ from scdec import _kernels
 from scdec._kernels import _pykernels as pk
 from scdec.lattice import build_layout
 
-
-def _philox_scalar(ctr, key, rounds=10):
-    """Reference Philox4x32: multiply-high/low, xor with bumped keys."""
-    M = 0xFFFFFFFF
-    c = list(int(x) & M for x in ctr)
-    k0, k1 = int(key[0]) & M, int(key[1]) & M
-    for _ in range(rounds):
-        p0 = c[0] * 0xD2511F53
-        p1 = c[2] * 0xCD9E8D57
-        c = [((p1 >> 32) ^ c[1] ^ k0) & M, p1 & M,
-             ((p0 >> 32) ^ c[3] ^ k1) & M, p0 & M]
-        k0 = (k0 + 0x9E3779B9) & M
-        k1 = (k1 + 0xBB67AE85) & M
-    return c
+from oracles import pauli_bits_scalar, philox_scalar
 
 
 def test_philox_matches_scalar_reference(compiled):
@@ -37,7 +24,7 @@ def test_philox_matches_scalar_reference(compiled):
     for impl in (pk.philox4x32, compiled.philox4x32):
         got = impl(ctr, key)
         for i in range(0, 200, 17):
-            assert list(got[i]) == _philox_scalar(ctr[i], key), i
+            assert list(got[i]) == philox_scalar(ctr[i], key), i
 
 
 # The Philox4x32-10 known-answer vectors published with Random123
@@ -77,6 +64,34 @@ def test_sampling_backends_identical(compiled, p, shot0):
     b = compiled.sample_pauli_bits(81, p, 987654321012, 7, shot0, 800)
     for u, v in zip(a, b):
         assert u.dtype == v.dtype == np.uint8 and np.array_equal(u, v)
+
+
+def test_philox_across_passes(compiled):
+    """21,000 blocks: more than one pass of the numpy rounds and not a
+    multiple of it.  Every block matches the scalar oracle."""
+    rng = np.random.default_rng(5)
+    ctr = rng.integers(0, 2 ** 32, size=(21_000, 4), dtype=np.uint32)
+    assert len(ctr) > pk._PASS and len(ctr) % pk._PASS
+    key = (0x01234567, 0x89ABCDEF)
+    got = pk.philox4x32(ctr, key)
+    assert np.array_equal(got, compiled.philox4x32(ctr, key))
+    assert got.tolist() == [philox_scalar(c, key) for c in ctr]
+
+
+@pytest.mark.parametrize("p", (0.0, 0.1, 1.0))
+@pytest.mark.parametrize("shot0", (0, 2 ** 32 - 900))
+def test_sampling_across_passes(compiled, p, shot0):
+    """81 qubits x 1,000 shots is 21,000 blocks, so the numpy sampler runs
+    two passes, the second one partial; from ``2^32 - 900`` the shot
+    counter crosses 2^32 inside that second pass.  Both backends match the
+    word-by-word oracle, at p = 0 and p = 1 (``thr = 2^32``) too."""
+    n, per = 1000, pk._PASS // 21
+    assert per < n < 2 * per and (shot0 == 0 or per < 2 ** 32 - shot0 < n)
+    want = pauli_bits_scalar(81, p, 2 ** 35 + 3, 9, shot0, n)
+    for impl in (pk.sample_pauli_bits, compiled.sample_pauli_bits):
+        got = impl(81, p, 2 ** 35 + 3, 9, shot0, n)
+        for u, v in zip(got, want):
+            assert u.dtype == np.uint8 and np.array_equal(u, v)
 
 
 def test_syndrome_and_gf2_backends_identical(compiled):
@@ -161,6 +176,68 @@ def test_fixed_forward_coerces_like_the_reference(compiled):
         assert got.dtype == np.uint8 and np.array_equal(want, got)
     with pytest.raises(ValueError, match="transfer id 2"):
         compiled.fixed_forward_bits(syn, w1, b1, w2, b2, wout, bout, wf, bits, 2)
+
+
+@pytest.mark.parametrize("n,k,m", [(5000, 257, 40), (3, 1 << 20, 2), (1, (1 << 22) + 1, 1)])
+def test_gf2_products_exact_on_all_ones(n, k, m):
+    """Dense all-ones operands make every sum as large as it can be."""
+    ones = np.ones((n, k), dtype=np.uint8)
+    got = pk.gf2_matmul(ones, np.ones((k, m), dtype=np.uint8))
+    assert got.dtype == np.uint8 and got.shape == (n, m) and (got == k % 2).all()
+    if k < 1000:
+        h = np.ones((m, k), dtype=np.uint8)
+        assert (pk.syndrome_bits(ones, ones, h, h[:3]) == k % 2).all()
+
+
+def test_gf2_products_refuse_2_to_24_terms(monkeypatch):
+    """The float32 products are exact only below 2^24 terms per sum, so the
+    numpy kernels refuse more before converting any operand.  Zero-stride
+    views give the shapes without allocating them."""
+    def refuse(a):
+        raise AssertionError("an operand was converted")
+
+    monkeypatch.setattr(pk, "_low_bit_f32", refuse)
+    k = 1 << 24
+    wide = np.broadcast_to(np.uint8(1), (2, k))
+    h = np.broadcast_to(np.uint8(1), (4, k))
+    with pytest.raises(ValueError, match=r"2\^24"):
+        pk.gf2_matmul(wide, h.T)
+    with pytest.raises(ValueError, match=r"2\^24"):
+        pk.syndrome_bits(wide, wide, h, h)
+
+
+@pytest.mark.parametrize("extra", (False, True))
+def test_fixed_forward_exact_at_the_widest_operands(extra):
+    """9-bit weights pinned at ``min_int``/``max_int``, the d=11 input
+    width (120) and 256 first-layer nodes: the float64 products of the
+    numpy kernel still give the arbitrary-precision oracle's bits."""
+    from oracles import fixed_forward_bigint
+    from scdec.nn import QuantizedWeights, QuantSpec
+
+    spec = QuantSpec(9, extra)
+    n_in, n1, n2 = 120, 256, 16
+    rng = np.random.default_rng(12)
+    ends = np.array([spec.min_int, spec.max_int], dtype=np.int64)
+    syn = np.vstack([np.ones(n_in), rng.integers(0, 2, size=(2, n_in))]).astype(np.uint8)
+    shapes = {"w1": (n1, n_in), "b1": n1, "w2": (n2, n1), "b2": n2, "wout": (2, n2), "bout": 2}
+    weight_sets = [{k: np.full(s, e, dtype=np.int64) for k, s in shapes.items()} for e in ends]
+    weight_sets.append({k: rng.choice(ends, size=s) for k, s in shapes.items()})
+    for i, arrays in enumerate(weight_sets):
+        qw = QuantizedWeights(**arrays, spec=spec)
+        qw.validate()
+        for transfer, name in ((pk.TRANSFER_SQNL, "sqnl"), (pk.TRANSFER_RELU, "relu")):
+            got = pk.fixed_forward_bits(syn, qw.w1, qw.b1, qw.w2, qw.b2, qw.wout, qw.bout,
+                                        spec.wfrac, spec.bits, transfer)
+            want = [fixed_forward_bigint(qw, row, spec.wfrac, spec.bits, name) for row in syn]
+            assert got.tolist() == want, (i, name)
+
+
+def test_fixed_forward_refuses_sums_beyond_float64():
+    syn = np.ones((2, 4), dtype=np.uint8)
+    zeros = np.zeros(3, dtype=np.int64)
+    with pytest.raises(ValueError, match=r"2\^53"):
+        pk.fixed_forward_bits(syn, np.full((3, 4), 1 << 50), zeros, np.ones((3, 3)),
+                              zeros, np.ones((2, 3)), zeros[:2], 8, 9, 0)
 
 
 def test_match_defects_backends_identical(compiled):
