@@ -31,7 +31,8 @@ _F64_EXACT = 1 << 53
 # Rows per pass of the BLAS products, so their float copies stay in cache.
 _ROWS = 1 << 12
 
-# Subset-DP matcher memory cap: 2**22 table entries (16 MiB as int32).
+# Largest defect count the subset-DP matcher takes.  The top-down DP keeps
+# at most F(k+2) reached subsets (Fibonacci), 46,368 at k = 22.
 MATCH_DP_MAX = 22
 
 

@@ -30,6 +30,7 @@ from ._fileio import atomic_write
 from .lattice import build_layout
 from .mwpm import decode_mwpm
 from .nn import NetworkConfig, QuantSpec, load_checkpoint, save_checkpoint
+from .nn.config import TRANSFERS
 from .noise import Syndrome
 from .train import TrainConfig
 
@@ -377,8 +378,6 @@ def _read_table(path: str, what: str, columns):
 
 def _cmd_cost_budget_report(args) -> int:
     """Optimal distance per cost budget, from joined sweep rows."""
-    from .eval import FitResult, default_eps_grid
-
     columns = ("distance", args.cost_col, "p_th", "slope", "c", "status")
     _, header, body = _read_table(args.budget_report, "sweep file", columns)
     if not args.budgets:
@@ -391,15 +390,17 @@ def _cmd_cost_budget_report(args) -> int:
         if cells[idx["status"]] != "ok":
             continue
         try:
-            fit = FitResult(float(cells[idx["p_th"]]), float(cells[idx["slope"]]),
-                            float(cells[idx["c"]]), 0.0)
+            fit = eval_mod.FitResult(float(cells[idx["p_th"]]),
+                                     float(cells[idx["slope"]]),
+                                     float(cells[idx["c"]]), 0.0)
             entries.append((int(cells[idx["distance"]]),
                             float(cells[idx[args.cost_col]]), fit))
         except ValueError:
             continue
     if not entries:
         raise ComputeError("no usable rows (need ok status with fit columns)")
-    rows = hwcost.optimal_distance_report(entries, budgets, default_eps_grid())
+    rows = hwcost.optimal_distance_report(entries, budgets,
+                                         eval_mod.default_eps_grid())
     out_lines = [f"# scdec v{__version__} budget report cost_col={args.cost_col}",
                  "budget,eps_p,distance,eps_l"]
     out_lines += [f"{b!r},{e!r},{d},{el!r}" for b, e, d, el in rows]
@@ -549,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n1", type=int)
     p.add_argument("--n2", type=int)
     p.add_argument("--bits", type=int, default=0)
-    p.add_argument("--transfer", choices=("sqnl", "relu", "tanh"), default="sqnl")
+    p.add_argument("--transfer", choices=TRANSFERS, default="sqnl")
     p.add_argument("--rotated", action="store_true")
     p.add_argument("--budget-report", metavar="SWEEP_CSV",
                    help="emit the optimal-distance-per-budget report instead")

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .lattice import ANC_X, ANC_Z, Layout
+from .lattice import ANC_X, ANC_Z, Layout, build_layout
 from .noise import ErrorConfig, Syndrome
 
 _INF = 10 ** 9
@@ -49,7 +49,6 @@ class NoPerfectMatching(ValueError):
 class _TypeTables:
     """Per-ancilla-type decode tables (all indices local to the type)."""
 
-    anc_offset: int           # global index of local ancilla 0
     dist: np.ndarray          # (k, k) int32 pairwise path lengths
     bnd: np.ndarray           # (k,) int32 boundary path lengths
     path_mask: list           # path_mask[u][v]: data-qubit set as a bit-int
@@ -65,8 +64,6 @@ class _TypeTables:
 
 @lru_cache(maxsize=None)
 def _tables(d: int):
-    from .lattice import build_layout
-
     layout = build_layout(d)
     out = []
     for t, anc_range in ((ANC_X, range(layout.n_anc_x)),
@@ -140,7 +137,7 @@ def _tables(d: int):
         partners = [[(1 << v, dist_l[u][v], path_par[u][v])
                      for v in range(u + 1, k) if inter[u] >> v & 1]
                     for u in range(k)]
-        out.append(_TypeTables(offset, dist, bnd, path_mask, bnd_mask, cut_mask,
+        out.append(_TypeTables(dist, bnd, path_mask, bnd_mask, cut_mask,
                                inter, bnd_l, bnd_par, path_par, partners))
     return tuple(out)
 
@@ -384,8 +381,6 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _decoder_for(d: int) -> MwpmDecoder:
-    from .lattice import build_layout
-
     return MwpmDecoder(build_layout(d))
 
 

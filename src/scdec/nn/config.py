@@ -79,6 +79,15 @@ class NetworkConfig:
     def n_in(self) -> int:
         return self.d * self.d - 1
 
+    def param_shapes(self, base: bool = False) -> dict:
+        """Shapes of the six parameter arrays in order: the full set, or with
+        ``base`` the quarter-size set a rotated net trains, whose output bias
+        is one shared scalar."""
+        rows1, rows2 = (self.n1 // 4, self.n2 // 4) if base else (self.n1, self.n2)
+        return {"w1": (rows1, self.n_in), "b1": (rows1,),
+                "w2": (rows2, self.n1), "b2": (rows2,),
+                "wout": (2, rows2), "bout": (1 if base else 2,)}
+
     def to_dict(self) -> dict:
         out = {
             "d": self.d, "n1": self.n1, "n2": self.n2,
@@ -116,16 +125,9 @@ class _Params:
     def arrays(self) -> dict:
         return {name: getattr(self, name) for name in _FIELDS}
 
-    def _check_shapes(self, cfg: NetworkConfig, rows1: int, rows2: int,
-                      n_bout: int) -> None:
-        """Shapes w1 (rows1, n_in), b1 (rows1,), w2 (rows2, n1), b2 (rows2,),
-        wout (2, rows2), bout (n_bout,), and finite entries."""
-        shapes = {
-            "w1": (rows1, cfg.n_in), "b1": (rows1,),
-            "w2": (rows2, cfg.n1), "b2": (rows2,),
-            "wout": (2, rows2), "bout": (n_bout,),
-        }
-        for name, shape in shapes.items():
+    def _check_shapes(self, cfg: NetworkConfig, base: bool) -> None:
+        """Shapes ``cfg.param_shapes(base)`` and finite entries."""
+        for name, shape in cfg.param_shapes(base).items():
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
@@ -135,22 +137,21 @@ class _Params:
 
 @dataclass
 class Weights(_Params):
-    """Full (expanded) parameter set: w1 (n1, n_in), b1 (n1,), w2 (n2, n1),
-    b2 (n2,), wout (2, n2), bout (2,)."""
+    """Full (expanded) parameter set, shaped ``cfg.param_shapes()``."""
 
     def validate(self, cfg: NetworkConfig) -> None:
-        self._check_shapes(cfg, rows1=cfg.n1, rows2=cfg.n2, n_bout=2)
+        self._check_shapes(cfg, base=False)
 
 
 @dataclass
 class BaseWeights(_Params):
-    """Quarter-size parameters of a rotated net: w1 (n1/4, n_in), b1 (n1/4,),
-    w2 (n2/4, n1), b2 (n2/4,), wout (2, n2/4), bout (1,) shared scalar."""
+    """Quarter-size parameters of a rotated net, shaped
+    ``cfg.param_shapes(base=True)``."""
 
     def validate(self, cfg: NetworkConfig) -> None:
         if not cfg.rotated:
             raise ValueError("base weights only exist for rotated configs")
-        self._check_shapes(cfg, rows1=cfg.n1 // 4, rows2=cfg.n2 // 4, n_bout=1)
+        self._check_shapes(cfg, base=True)
 
 
 @dataclass

@@ -18,7 +18,9 @@ def transfer(fn: str, x):
     """Evaluate a transfer function elementwise.
 
     sqnl is the saturating piecewise quadratic: -1 below -1, ``2x + x^2`` on
-    [-1, 0), ``2x - x^2`` on [0, 1], 1 above 1.
+    [-1, 0), ``2x - x^2`` on [0, 1], 1 above 1.  It is computed as the
+    fixed-point datapath does, ``2c - c|c|`` with ``c = clip(x, -1, 1)``; the
+    sign of ``c`` keeps ``-0.0`` and NaN propagates.
     """
     x = np.asarray(x, dtype=np.float64)
     if fn == "tanh":
@@ -26,11 +28,8 @@ def transfer(fn: str, x):
     if fn == "relu":
         return np.maximum(x, 0.0)
     if fn == "sqnl":
-        return np.where(
-            x < -1.0, -1.0,
-            np.where(x < 0.0, 2.0 * x + x * x,
-                     np.where(x <= 1.0, 2.0 * x - x * x, 1.0)),
-        )
+        c = np.clip(x, -1.0, 1.0)
+        return np.copysign(2.0 * c - c * np.abs(c), c)
     raise ValueError(f"unknown transfer {fn!r}")
 
 
@@ -43,11 +42,7 @@ def transfer_deriv(fn: str, x):
     if fn == "relu":
         return (x >= 0.0).astype(np.float64)
     if fn == "sqnl":
-        return np.where(
-            x < -1.0, 0.0,
-            np.where(x < 0.0, 2.0 + 2.0 * x,
-                     np.where(x <= 1.0, 2.0 - 2.0 * x, 0.0)),
-        )
+        return 2.0 - 2.0 * np.abs(np.clip(x, -1.0, 1.0))
     raise ValueError(f"unknown transfer {fn!r}")
 
 

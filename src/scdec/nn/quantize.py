@@ -7,15 +7,22 @@ import numpy as np
 from .config import QuantSpec, QuantizedWeights, Weights
 
 
-def quantize_array(values: np.ndarray, q: QuantSpec) -> np.ndarray:
-    """Nearest grid level as integers ``k`` (value ``k * 2^-wfrac``).
+def grid_levels(values, frac: int) -> np.ndarray:
+    """Nearest level ``k`` (value ``k * 2^-frac``) of the grid over
+    ``[-1, 1 - 2^-frac]``, as float64.
 
     Ties round toward minus infinity; out-of-range values clip to the
-    nearest endpoint of ``[-1, 1 - 2^-wfrac]``.
+    nearest endpoint.
     """
-    v = np.asarray(values, dtype=np.float64) * (1 << q.wfrac)
-    k = np.ceil(v - 0.5)
-    return np.clip(k, q.min_int, q.max_int).astype(np.int64)
+    scale = 1 << frac
+    k = np.ceil(np.asarray(values, dtype=np.float64) * scale - 0.5)
+    return np.clip(k, -scale, scale - 1)
+
+
+def quantize_array(values: np.ndarray, q: QuantSpec) -> np.ndarray:
+    """Nearest level of the ``q`` weight grid as integers (see
+    :func:`grid_levels`)."""
+    return grid_levels(values, q.wfrac).astype(np.int64)
 
 
 def quantize_weights(weights: Weights, q: QuantSpec) -> QuantizedWeights:

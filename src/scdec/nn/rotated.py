@@ -67,20 +67,17 @@ def reduce_rotated_grads(cfg: NetworkConfig, grads: Weights,
     m1, m2 = cfg.n1 // 4, cfg.n2 // 4
     fwd, _ = _anc_perms(layout)
 
-    gw1 = np.zeros((m1, cfg.n_in))
-    gb1 = np.zeros(m1)
-    gw2 = np.zeros((m2, cfg.n1))
-    gb2 = np.zeros(m2)
-    gwout = np.zeros((2, m2))
+    acc = BaseWeights(**{name: np.zeros(shape)
+                         for name, shape in cfg.param_shapes(base=True).items()})
     for g in range(4):
-        gw1 += grads.w1[g * m1:(g + 1) * m1][:, fwd[g]]
-        gb1 += grads.b1[g * m1:(g + 1) * m1]
+        acc.w1 += grads.w1[g * m1:(g + 1) * m1][:, fwd[g]]
+        acc.b1 += grads.b1[g * m1:(g + 1) * m1]
         block2 = grads.w2[g * m2:(g + 1) * m2]
         for gp in range(4):
             rel = (gp - g) % 4
-            gw2[:, rel * m1:(rel + 1) * m1] += block2[:, gp * m1:(gp + 1) * m1]
-        gb2 += grads.b2[g * m2:(g + 1) * m2]
+            acc.w2[:, rel * m1:(rel + 1) * m1] += block2[:, gp * m1:(gp + 1) * m1]
+        acc.b2 += grads.b2[g * m2:(g + 1) * m2]
         blocko = grads.wout[:, g * m2:(g + 1) * m2]
-        gwout += blocko if g % 2 == 0 else blocko[::-1]
-    gbout = np.array([grads.bout.sum()])
-    return BaseWeights(gw1, gb1, gw2, gb2, gwout, gbout)
+        acc.wout += blocko if g % 2 == 0 else blocko[::-1]
+    acc.bout[0] = grads.bout.sum()
+    return acc

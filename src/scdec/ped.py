@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .lattice import Layout
+from .lattice import Layout, build_layout
 from .noise import ErrorConfig, Syndrome
 
 
@@ -105,8 +105,6 @@ def cut_parity_matrix(d: int):
     Over GF(2), ``s @ m[:, 0]`` equals the centre-row X-plane parity of
     ``decode(s)`` and ``s @ m[:, 1]`` the centre-column Z-plane parity.
     """
-    from .lattice import build_layout
-
     layout = build_layout(d)
     px, pz = decode_tables(d)
     cut_z = np.fromiter(sorted(layout.logical_cut_z), dtype=np.intp)

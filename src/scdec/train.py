@@ -26,6 +26,7 @@ from . import ped
 from .lattice import Layout, cut_parities
 from .nn.config import BaseWeights, NetworkConfig, Weights
 from .nn.forward import forward_acts, transfer_deriv
+from .nn.quantize import grid_levels
 from .nn.rotated import expand_rotated, reduce_rotated_grads
 from .noise import (
     INIT_STREAM,
@@ -84,13 +85,6 @@ def target_bits(layout: Layout, x_bits, z_bits, syn):
     return (alx ^ plx).astype(np.uint8), (alz ^ plz).astype(np.uint8)
 
 
-def _reg_quantized(w: np.ndarray, reg_bits: int) -> np.ndarray:
-    # nearest level of the reg grid; step 2^-(reg_bits-1), clipped to range
-    scale = 1 << (reg_bits - 1)
-    k = np.clip(np.ceil(w * scale - 0.5), -scale, scale - 1)
-    return k / scale
-
-
 def loss_and_gradients(cfg: NetworkConfig, weights, x: np.ndarray, t: np.ndarray,
                        reg_scale: float = 0.0, reg_bits: int = 5):
     """Cost, its exact gradient, and the raw outputs for a batch.
@@ -121,7 +115,7 @@ def loss_and_gradients(cfg: NetworkConfig, weights, x: np.ndarray, t: np.ndarray
     if reg_scale > 0.0:
         # regularization acts on the physical (expanded) parameters
         for name, w in full.arrays().items():
-            wq = _reg_quantized(w, reg_bits)
+            wq = grid_levels(w, reg_bits - 1) / (1 << (reg_bits - 1))
             value += reg_scale * float(np.sum(w * w) + np.sum((w - wq) ** 2))
             g = getattr(grads_full, name)
             g += reg_scale * (2.0 * w + 2.0 * (w - wq))
@@ -170,17 +164,11 @@ def init_weights(cfg: NetworkConfig, seed: int):
     from the counter-based stream so runs are reproducible."""
     from ._kernels import philox4x32
 
-    shapes = {
-        "w1": ((cfg.n1 // 4, cfg.n_in), cfg.n_in) if cfg.rotated else ((cfg.n1, cfg.n_in), cfg.n_in),
-        "b1": ((cfg.n1 // 4,), cfg.n_in) if cfg.rotated else ((cfg.n1,), cfg.n_in),
-        "w2": ((cfg.n2 // 4, cfg.n1), cfg.n1) if cfg.rotated else ((cfg.n2, cfg.n1), cfg.n1),
-        "b2": ((cfg.n2 // 4,), cfg.n1) if cfg.rotated else ((cfg.n2,), cfg.n1),
-        "wout": ((2, cfg.n2 // 4), cfg.n2) if cfg.rotated else ((2, cfg.n2), cfg.n2),
-        "bout": ((1,), cfg.n2) if cfg.rotated else ((2,), cfg.n2),
-    }
+    full = cfg.param_shapes()
     arrays = {}
     word = 0
-    for name, (shape, fan_in) in shapes.items():
+    for name, shape in cfg.param_shapes(base=cfg.rotated).items():
+        fan_in = full["w" + name[1:]][1]    # a bias shares its layer's fan-in
         n = int(np.prod(shape))
         blocks = (n + 3) // 4
         ctr = np.zeros((blocks, 4), dtype=np.uint32)

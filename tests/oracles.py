@@ -47,6 +47,33 @@ def dense_forward(w, syn, transfer):
     return out
 
 
+def sqnl_where(x):
+    """sqnl as three nested ``np.where`` branches (NaN maps to 1.0)."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(
+        x < -1.0, -1.0,
+        np.where(x < 0.0, 2.0 * x + x * x,
+                 np.where(x <= 1.0, 2.0 * x - x * x, 1.0)),
+    )
+
+
+def sqnl_deriv_where(x):
+    """Derivative of :func:`sqnl_where`, one-sided at the kinks."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(
+        x < -1.0, 0.0,
+        np.where(x < 0.0, 2.0 + 2.0 * x,
+                 np.where(x <= 1.0, 2.0 - 2.0 * x, 0.0)),
+    )
+
+
+def reg_quantized(w, reg_bits):
+    """Nearest level of the regulariser grid, step ``2^-(reg_bits-1)``."""
+    scale = 1 << (reg_bits - 1)
+    k = np.clip(np.ceil(w * scale - 0.5), -scale, scale - 1)
+    return k / scale
+
+
 def fixed_forward_bigint(qw, syn, wfrac, abits, transfer):
     """Arbitrary-precision scaled-integer emulation of the fixed datapath.
 

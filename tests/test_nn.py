@@ -22,11 +22,19 @@ from scdec.nn import (
     quantize_weights,
     save_checkpoint,
     transfer,
+    transfer_deriv,
 )
 from scdec._kernels import _pykernels
+from scdec.nn.quantize import grid_levels
 from scdec.train import init_weights
 
-from oracles import dense_forward, fixed_forward_bigint
+from oracles import (
+    dense_forward,
+    fixed_forward_bigint,
+    reg_quantized,
+    sqnl_deriv_where,
+    sqnl_where,
+)
 
 
 def _random_weights(cfg, seed):
@@ -63,6 +71,37 @@ def test_sqnl_matches_piecewise_definition(x):
         assert y == pytest.approx(2 * x - x * x)
     else:
         assert y == 1
+
+
+def _sqnl_inputs():
+    """Signed zeros, +-1 and their neighbours, infinities, subnormals, and
+    2^20 random bit patterns plus 2^20 normals around the kinks; no NaN."""
+    special = [0.0, 1.0, 2.0, np.inf, 5e-324, 2.2250738585072009e-308,
+               2.2250738585072014e-308, np.finfo(np.float64).max, 1e-200]
+    special += [np.nextafter(v, t) for v in (0.0, 1.0) for t in (-2.0, 2.0)]
+    special = np.array(special + [-v for v in special])
+    rng = np.random.default_rng(8)
+    bits = rng.integers(0, 2 ** 63, size=1 << 20, dtype=np.uint64)
+    bits |= rng.integers(0, 2, size=bits.size, dtype=np.uint64) << np.uint64(63)
+    patterns = bits.view(np.float64)
+    return np.concatenate([special, patterns[~np.isnan(patterns)],
+                           rng.normal(0.0, 1.5, size=1 << 20)])
+
+
+def test_sqnl_bit_identical_to_nested_where():
+    x = _sqnl_inputs()
+    with np.errstate(over="ignore", invalid="ignore"):   # unselected branches
+        want, want_deriv = sqnl_where(x), sqnl_deriv_where(x)
+    assert transfer("sqnl", x).tobytes() == want.tobytes()
+    assert transfer_deriv("sqnl", x).tobytes() == want_deriv.tobytes()
+    assert np.signbit(transfer("sqnl", -0.0)) and not np.signbit(transfer("sqnl", 0.0))
+
+
+def test_transfer_passes_nan_through():
+    for fn in ("tanh", "relu", "sqnl"):
+        assert np.isnan(transfer(fn, np.nan)), fn
+    assert np.isnan(transfer_deriv("sqnl", np.nan))
+    assert np.isnan(transfer_deriv("tanh", np.nan))
 
 
 # ------------------------------------------------------- float forward --
@@ -215,6 +254,22 @@ def test_quantize_idempotent_and_in_range(bits, extra, values):
     assert np.all(k >= q.min_int) and np.all(k <= q.max_int)
     again = quantize_array(k.astype(np.float64) * q.step, q)
     assert np.array_equal(k, again)
+
+
+@pytest.mark.parametrize("reg_bits", range(2, 9))
+def test_grid_levels_match_regulariser_formula(reg_bits):
+    scale = 1 << (reg_bits - 1)
+    rng = np.random.default_rng(reg_bits)
+    ties = (np.arange(-scale - 2, scale + 2) + 0.5) / scale
+    near_zero = np.array([-0.0, 0.0, -0.49, -0.25, -1e-300, 0.49]) / scale
+    w = np.concatenate([ties, -ties, near_zero, rng.uniform(-1.5, 1.5, 4096)])
+    got = grid_levels(w, reg_bits - 1) / scale
+    assert got.tobytes() == reg_quantized(w, reg_bits).tobytes()
+    assert np.signbit(got[len(ties) * 2:len(ties) * 2 + 5]).all()
+    if reg_bits >= 3:
+        q = QuantSpec(reg_bits)
+        want = (reg_quantized(w, q.wfrac + 1) * (1 << q.wfrac)).astype(np.int64)
+        assert np.array_equal(quantize_array(w, q), want)
 
 
 def test_quant_spec_range():

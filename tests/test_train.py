@@ -267,6 +267,25 @@ def test_loss_decreases_on_held_out_batch():
         assert after < before
 
 
+def test_sqnl_nan_weight_diverges(monkeypatch):
+    import scdec.train as train_mod
+
+    lay = build_layout(3)
+    cfg = NetworkConfig(d=3, n1=4, n2=4, transfer="sqnl")
+
+    def nan_init(cfg, seed):
+        w = init_weights(cfg, seed)
+        w.w1[0, 0] = np.nan
+        return w
+
+    x = np.ones((4, cfg.n_in))
+    t = np.ones((4, 2))
+    assert not np.isfinite(loss_and_gradients(cfg, nan_init(cfg, 0), x, t)[0])
+    monkeypatch.setattr(train_mod, "init_weights", nan_init)
+    with pytest.raises(TrainingDiverged):
+        train_loop(TrainConfig(n_batches=3, batch_size=64), cfg, lay)
+
+
 def test_divergence_detection():
     lay = build_layout(3)
     cfg = NetworkConfig(d=3, n1=8, n2=4, transfer="relu", rotated=False)
