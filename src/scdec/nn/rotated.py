@@ -18,30 +18,34 @@ output bias is a single shared scalar.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from ..lattice import Layout, build_layout
+from ..lattice import build_layout
 from .config import BaseWeights, NetworkConfig, Weights
 
 
-def _anc_perms(layout: Layout):
-    """(perm^g, perm^-g) index arrays for g = 0..3."""
-    fwd = [np.array(layout.rot_anc_power(g), dtype=np.intp) for g in range(4)]
-    inv = [np.array(layout.rot_anc_power((4 - g) % 4), dtype=np.intp) for g in range(4)]
-    return fwd, inv
+@lru_cache(maxsize=None)
+def _anc_perms(d: int):
+    """(perm^g, perm^-g) read-only index arrays for g = 0..3 at distance
+    ``d``; every training step uses them twice, so they are built once."""
+    layout = build_layout(d)
+    fwd = tuple(np.array(layout.rot_anc_power(g), dtype=np.intp) for g in range(4))
+    for perm in fwd:
+        perm.setflags(write=False)
+    return fwd, tuple(fwd[-g % 4] for g in range(4))
 
 
-def expand_rotated(cfg: NetworkConfig, base: BaseWeights | Weights,
-                   layout: Layout | None = None) -> Weights:
+def expand_rotated(cfg: NetworkConfig, base: BaseWeights | Weights) -> Weights:
     """Expand quarter-size weights into the full shared set; full sets pass."""
     if isinstance(base, Weights):
         return base
     if not cfg.rotated:
         raise ValueError("config is not rotated")
     base.validate(cfg)
-    layout = layout or build_layout(cfg.d)
     m1 = cfg.n1 // 4
-    _, inv = _anc_perms(layout)
+    _, inv = _anc_perms(cfg.d)
 
     w1 = np.vstack([base.w1[:, inv[g]] for g in range(4)])
     b1 = np.tile(base.b1, 4)
@@ -56,16 +60,14 @@ def expand_rotated(cfg: NetworkConfig, base: BaseWeights | Weights,
     return Weights(w1, b1, w2, b2, wout, bout)
 
 
-def reduce_rotated_grads(cfg: NetworkConfig, grads: Weights,
-                         layout: Layout | None = None) -> BaseWeights:
+def reduce_rotated_grads(cfg: NetworkConfig, grads: Weights) -> BaseWeights:
     """Pull full-parameter gradients back onto the shared base parameters.
 
     This is the exact transpose of :func:`expand_rotated`: each base entry
     accumulates the gradients of its four copies.
     """
-    layout = layout or build_layout(cfg.d)
     m1, m2 = cfg.n1 // 4, cfg.n2 // 4
-    fwd, _ = _anc_perms(layout)
+    fwd, _ = _anc_perms(cfg.d)
 
     acc = BaseWeights(**{name: np.zeros(shape)
                          for name, shape in cfg.param_shapes(base=True).items()})

@@ -1,12 +1,17 @@
+import ctypes
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
+import textwrap
+import types
 
 import numpy as np
 import pytest
 
+import scdec.cli
 import scdec.eval
 import scdec.train
 from scdec.cli import (
@@ -158,18 +163,88 @@ def test_readme_key_block_lists_the_key_table():
             assert cfg[key] == spec.default, key
 
 
-def test_importing_the_cli_leaves_scipy_optimize_out():
-    """Only ``fit_model`` imports ``scipy.optimize``, which would otherwise be
-    most of the start-up time of every ``scdec`` command."""
+def run_python(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this
+    checkout's ``scdec``."""
     src = os.path.dirname(os.path.dirname(scdec.eval.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, scdec.cli; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_importing_the_cli_leaves_scipy_optimize_out():
+    """Only ``fit_model`` imports ``scipy.optimize``, which would otherwise be
+    most of the start-up time of every ``scdec`` command."""
+    out = run_python("import sys, scdec.cli; print('scipy.optimize' in sys.modules)")
+    assert out == "False"
+
+
+# ------------------------------------------------------------ allocator --
+
+def test_keep_freed_heap_sets_mmap_and_trim_thresholds(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    scdec.cli._keep_freed_heap()
+    assert calls == [(-3, 32 << 20), (-1, 32 << 20)]
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: types.SimpleNamespace()],
+                         ids=["CDLL-raises", "no-mallopt"])
+def test_keep_freed_heap_without_mallopt_does_nothing(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    scdec.cli._keep_freed_heap()  # returns without raising
+
+
+def test_importing_the_cli_leaves_the_allocator_alone():
+    out = run_python("""
+        import ctypes
+        looked_up = []
+
+        class Spy(ctypes.CDLL):
+            def __getattr__(self, name):
+                looked_up.append(name)
+                return super().__getattr__(name)
+
+        ctypes.CDLL = Spy
+        import scdec.cli
+        print("mallopt" in looked_up)
+    """)
+    assert out == "False"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+def test_repeated_train_call_does_not_fault_its_batches_in_again(tmp_path):
+    """Without the CLI's allocator policy each 4,992-sample batch faults its
+    freed temporaries back in: about 16,000 minor faults per 20-batch call."""
+    out = run_python(f"""
+        import contextlib, io, resource
+        from scdec.cli import main
+
+        keys = dict(distance=5, n1=16, n2=4, rotated="true", batch_size=4992,
+                    n_batches=20, log_every=10, seed=1)
+        argv = ["train", "--out", {str(tmp_path)!r}]
+        argv += [a for k, v in keys.items() for a in ("--set", f"{{k}}={{v}}")]
+        faults = []
+        for _ in range(2):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        print(faults[1])
+    """)
+    assert int(out) < 2000
 
 
 def test_unknown_subcommand_is_exit_2(capsys):

@@ -26,6 +26,7 @@ from scdec.nn import (
 )
 from scdec._kernels import _pykernels
 from scdec.nn.quantize import grid_levels
+from scdec.nn.rotated import _anc_perms
 from scdec.train import init_weights
 
 from oracles import (
@@ -203,6 +204,17 @@ def test_expand_rotated_unit_rows_follow_ancilla_permutation():
     for g in range(4):
         expect = lay.rot_anc_power(g)[k]
         assert list(np.flatnonzero(full.w1[g])) == [expect]
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_ancilla_permutations_are_built_once_and_read_only(d):
+    fwd, inv = perms = _anc_perms(d)
+    assert _anc_perms(d) is perms
+    lay = build_layout(d)
+    for g in range(4):
+        assert fwd[g].tolist() == list(lay.rot_anc_power(g))
+        assert fwd[g][inv[g]].tolist() == list(range(lay.n_anc))
+        assert not fwd[g].flags.writeable and not inv[g].flags.writeable
 
 
 def test_expand_rejects_bad_group_sizes():
