@@ -12,14 +12,16 @@ that scans neighbours in ascending index, and among equal-weight matchings
 the lowest-index defect prefers the boundary, then the lowest-index partner.
 
 A defect pattern is split into interaction components, matched one by one.
-A component of at most ``_SHARED_MAX`` (12) defects is solved by a top-down
-subset DP over one memo per ancilla sector, shared by every pattern the
-decoder sees; it stores each subset's ``weight << 1 | cut_parity``.  The cut
-parity of a matching is the XOR of one precomputed bit per path, so batch
-decoding never builds a correction mask.  Components of 13 to
-``MATCH_DP_MAX`` (22) defects run ``_kernels.match_defects`` and larger ones
-the networkx blossom.  Single-shot decoding builds correction masks from the
-pair arrays of ``_kernels.match_defects``, whose tie rule the memo's DP shares.
+Batch decoding (``cut_parities_batch``) works on whole arrays of uint64
+defect keys: it splits every unique key into components at once, solves
+every component of 2 to ``MATCH_DP_MAX`` (22) defects with one
+level-by-level subset DP per batch over a per-sector memo of ``weight << 1
+| cut_parity``, and XORs the components' parities.  The cut parity of a
+matching is the XOR of one precomputed bit per path, so batch decoding never
+builds a correction mask.  Lone defects take their boundary route and larger
+components the networkx blossom.  Single-shot decoding builds correction
+masks from the pair arrays of ``_kernels.match_defects``, whose recursion
+and tie rule the batch DP shares.
 """
 
 from __future__ import annotations
@@ -55,11 +57,17 @@ class _TypeTables:
     bnd_mask: list            # bnd_mask[u]: boundary path data bits
     cut_mask: int             # data bits of the logical cut this plane crosses
     inter: list               # inter[u]: bit-int of v with dist < bnd[u] + bnd[v]
-    bnd_w: list               # bnd as a list of ints
     bnd_par: list             # bnd_par[u]: cut parity of bnd_mask[u]
     path_par: list            # path_par[u][v]: cut parity of path_mask[u][v]
-    partners: list            # partners[u]: (1 << v, dist, path_par) per
-                              # v > u in inter[u], ascending v
+    # Arrays of the batch path; a matching value is ``weight << 1 | parity``.
+    inter_keys: np.ndarray    # (k,) uint64: inter as keys
+    or_tab: np.ndarray        # (ceil(k/8), 256) uint64: [j, b] = OR of
+                              # inter[8j + i] over the set bits i of byte b
+    single: np.ndarray        # (k,) int64 value of u's boundary route
+    pair: np.ndarray          # (k, k) int64 value of the path u - v
+    pop8: np.ndarray          # (256,) int64 popcount of a byte
+    reach: np.ndarray         # (MATCH_DP_MAX + 1,) int64: F(n + 2), the most
+                              # subsets the DP reaches from n defects
 
 
 @lru_cache(maxsize=None)
@@ -126,84 +134,188 @@ def _tables(d: int):
         # Z-ancilla matchings emit X corrections, crossing the row cut.
         cut = layout.logical_cut_x if t == ANC_X else layout.logical_cut_z
         cut_mask = sum(1 << q for q in cut)
-        dist_l = dist.tolist()
-        bnd_l = bnd.tolist()
-        inter = [sum(1 << v for v in range(k)
-                     if v != u and dist_l[u][v] < bnd_l[u] + bnd_l[v])
-                 for u in range(k)]
-        bnd_par = [(m & cut_mask).bit_count() & 1 for m in bnd_mask]
-        path_par = [[(m & cut_mask).bit_count() & 1 for m in row]
-                    for row in path_mask]
-        partners = [[(1 << v, dist_l[u][v], path_par[u][v])
-                     for v in range(u + 1, k) if inter[u] >> v & 1]
-                    for u in range(k)]
-        out.append(_TypeTables(dist, bnd, path_mask, bnd_mask, cut_mask,
-                               inter, bnd_l, bnd_par, path_par, partners))
+        out.append(_type_tables(dist, bnd, path_mask, bnd_mask, cut_mask))
     return tuple(out)
 
 
-# Components of at most this many defects are solved over the per-sector
-# shared memo; larger ones run ``_kernels.match_defects`` (up to
-# MATCH_DP_MAX) or the blossom.  Sharing pays while subsets recur across
-# keys.  Cold decodes of fixed keys (2 vCPU, numpy backend), with a limit of
-# 8 / 12 / 16 / 22 against the unshared per-key DP:
-#   d=7, eps=0.12, 3,000 shots: 0.23 / 0.16 / 0.15 / 0.15 s, unshared 0.43 s
-#   d=9, eps=0.1,  1,500 shots: 0.60 / 0.66 / 0.82 / 0.83 s, unshared 0.69 s
-#   d=9, eps=0.3,    150 shots: 1.96 / 2.07 / 2.28 / 3.67 s, unshared 2.10 s
-# Above 12 the memo fills with large subsets that few keys share (605k
-# entries at a limit of 22 on the last row, 4.6k at 12).  A limit of 8 is
-# faster on both d=9 rows; 12 is kept for d=7, the only MWPM distance the
-# benchmark runs, so the choice at d=9 is not benchmarked.
-_SHARED_MAX = 12
+def _type_tables(dist: np.ndarray, bnd: np.ndarray, path_mask: list,
+                 bnd_mask: list, cut_mask: int) -> _TypeTables:
+    """Complete one sector's tables from its paths and the logical cut."""
+    k = len(bnd)
+    bnd_par = [(m & cut_mask).bit_count() & 1 for m in bnd_mask]
+    path_par = [[(m & cut_mask).bit_count() & 1 for m in row]
+                for row in path_mask]
+    near = dist.astype(np.int64) < bnd[:, None].astype(np.int64) + bnd[None, :]
+    np.fill_diagonal(near, False)
+    inter_keys = _pack_bits(near)
+    byte_bits = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)
+    n_bytes = -(-k // 8)
+    inter_pad = np.zeros(n_bytes * 8, dtype=np.uint64)
+    inter_pad[:k] = inter_keys
+    or_tab = np.bitwise_or.reduce(
+        np.where(byte_bits[None], inter_pad.reshape(n_bytes, 1, 8),
+                 np.uint64(0)), axis=2)
+    fib = np.ones(_kernels.MATCH_DP_MAX + 2, dtype=np.int64)   # F(i + 1)
+    for i in range(2, fib.size):
+        fib[i] = fib[i - 1] + fib[i - 2]
+    return _TypeTables(
+        dist, bnd, path_mask, bnd_mask, cut_mask,
+        [int(x) for x in inter_keys.tolist()], bnd_par, path_par,
+        inter_keys, or_tab,
+        bnd.astype(np.int64) << 1 | np.array(bnd_par, dtype=np.int64),
+        dist.astype(np.int64) << 1 | np.array(path_par, dtype=np.int64),
+        byte_bits.sum(axis=1, dtype=np.int64), fib[1:])
 
 
 class _DefectCache:
     """Per-sector matching memo shared by every defect key.
 
-    ``memo`` maps a subset of the sector's defects, as a bit-int over local
-    ancilla indices, to ``weight << 1 | cut_parity`` of its minimum-weight
-    matching.  The value depends on the subset alone, so the states one
-    key's DP reaches serve every later key that reaches them.
+    ``memo_keys`` (sorted uint64) and ``memo_vals`` (int64) map a subset of
+    the sector's defects, as a bit-key over local ancilla indices, to
+    ``weight << 1 | cut_parity`` of its minimum-weight matching, for subsets
+    of two or more defects.  The value depends on the subset alone, so the
+    states one key's DP reaches serve every later key that reaches them.
     """
 
-    __slots__ = ("tables", "memo", "_solve")
-    # Caps resident memory: with both sectors' memos full, a d=9 or d=11
-    # decode peaks near 210 MiB RSS (CPython 3.11).
+    __slots__ = ("tables", "memo_keys", "memo_vals")
+    # Caps resident memory: an entry takes 16 bytes, a memo of MAX_ENTRIES
+    # entries is cleared before the next slice, and a slice adds at most
+    # MAX_ENTRIES // 4, so a sector's memo stays under 20 MiB.  Peak RSS of
+    # whole decodes (CPython 3.11, numpy 2.4, 65,536-shot chunks): 1,000 d=9
+    # shots at eps=0.3, one clear per sector, 120-123 MiB; 200,000 d=9 shots
+    # at eps=0.1, seven clears per sector, 172 MiB; 100,000 d=11 shots at
+    # eps=0.05, two per sector, 158 MiB.
     MAX_ENTRIES = 1 << 20
 
     def __init__(self, tables: _TypeTables):
         self.tables = tables
-        self.memo = {0: 0}
-        self._solve = _memo_solver(tables, self.memo)
+        self.clear()
 
-    def solve(self, comp: int) -> int:
-        """``weight << 1 | cut_parity`` of the optimal matching of ``comp``;
-        a full memo is cleared before the solve."""
-        hit = self.memo.get(comp)
-        if hit is not None:
-            return hit
-        if len(self.memo) >= self.MAX_ENTRIES:
-            self.memo.clear()
-            self.memo[0] = 0
-        return self._solve(comp)
+    def clear(self):
+        self.memo_keys = np.empty(0, dtype=np.uint64)
+        self.memo_vals = np.empty(0, dtype=np.int64)
 
-    def parity(self, defect_key: int) -> int:
-        """Cut parity of the minimum-weight correction for the defect
-        pattern encoded as a bit-int over local ancilla indices."""
+    def parities(self, keys: np.ndarray) -> np.ndarray:
+        """uint8 cut parity of the minimum-weight correction of each uint64
+        defect key (bits are local ancilla indices)."""
         t = self.tables
-        par = 0
-        for comp in _components(defect_key, t.inter):
-            n = comp.bit_count()
-            if n == 1:              # a lone defect takes its boundary route
-                par ^= t.bnd_par[comp.bit_length() - 1]
-            elif n <= _SHARED_MAX:
-                par ^= self.solve(comp)
-            else:
-                par ^= _match_component(t, comp, t.bnd_par, t.path_par)
-        return par & 1
+        rows, comps = _split_components(keys, t.or_tab)
+        uniq, inv = np.unique(comps, return_inverse=True)
+        n = _popcount(uniq, t.pop8)
+        val = np.empty(uniq.size, dtype=np.int64)
+        lone = n == 1               # a lone defect takes its boundary route
+        val[lone] = t.single[_bit_index(uniq[lone])]
+        for i in np.flatnonzero(n > _kernels.MATCH_DP_MAX).tolist():
+            val[i] = _match_component(t, int(uniq[i]), t.bnd_par, t.path_par)
+        # DP components in ascending size, in slices whose reachable-subset
+        # bounds sum to at most MAX_ENTRIES // 4 (one component at least)
+        order = np.flatnonzero(~lone & (n <= _kernels.MATCH_DP_MAX))
+        order = order[np.argsort(n[order], kind="stable")]
+        bound = np.cumsum(t.reach[n[order]])
+        cap = self.MAX_ENTRIES // 4
+        start = 0
+        while start < order.size:
+            base = bound[start - 1] if start else 0
+            stop = max(int(np.searchsorted(bound, base + cap, side="right")),
+                       start + 1)
+            if self.memo_keys.size >= self.MAX_ENTRIES:
+                self.clear()
+            part = order[start:stop]
+            val[part] = self._solve(uniq[part])
+            start = stop
+        odd = np.bincount(rows, weights=val[inv] & 1, minlength=keys.size)
+        return (odd % 2).astype(np.uint8)
+
+    def _lookup(self, subsets: np.ndarray) -> np.ndarray:
+        """Memo values of sorted distinct ``subsets``, -1 where absent."""
+        mk = self.memo_keys
+        out = np.full(subsets.size, -1, dtype=np.int64)
+        if mk.size:
+            pos = np.minimum(np.searchsorted(mk, subsets), mk.size - 1)
+            hit = mk[pos] == subsets
+            out[hit] = self.memo_vals[pos[hit]]
+        return out
+
+    def _solve(self, comps: np.ndarray) -> np.ndarray:
+        """``weight << 1 | cut_parity`` of the optimal matching of each
+        subset in ``comps`` (2 to MATCH_DP_MAX defects, ascending size);
+        every subset the DP solves joins the memo.
+
+        The recursion and tie rule of ``_kernels.match_defects``, one level
+        of popcount at a time.  Top-down, each level's distinct subsets
+        that miss the memo are expanded: the lowest defect ``u`` goes to the
+        boundary (the rest is one level down) or to a partner ``v``, a
+        defect of the rest in ``inter[u]`` (two levels down), taken in
+        rounds of ascending ``v``.  Bottom-up, the boundary option is the
+        first best and each round replaces it only on a strict improvement.
+        The cut parity of an option is its path's parity bit XOR the
+        remaining subset's parity.
+        """
+        t = self.tables
+        n = _popcount(comps, t.pop8)
+        top = int(n[-1])
+        # refs[m]: arrays of the size-m subsets that the comps and the
+        # levels above need, in order of reference; filled[m]: their count
+        refs = [[comps[n == m]] for m in range(top + 1)]
+        filled = [r[0].size for r in refs]
+        levels = []
+        for m in range(top, 1, -1):
+            uniq, inv = np.unique(np.concatenate(refs[m]), return_inverse=True)
+            val = self._lookup(uniq)
+            miss = np.flatnonzero(val < 0)
+            new = uniq[miss]
+            low = new & (~new + np.uint64(1))
+            u = _bit_index(low)
+            rest = new ^ low
+            rounds = []
+            levels.append((uniq, inv, val, miss, u, filled[m - 1], rounds))
+            refs[m - 1].append(rest)
+            filled[m - 1] += rest.size
+            left = rest & t.inter_keys[u]
+            rows = np.flatnonzero(left)
+            left = left[rows]
+            while rows.size:        # round i: the i-th lowest partner
+                bit = left & (~left + np.uint64(1))
+                rounds.append(
+                    (rows, t.pair[u[rows], _bit_index(bit)], filled[m - 2]))
+                refs[m - 2].append(rest[rows] ^ bit)
+                filled[m - 2] += rows.size
+                left ^= bit
+                keep = np.flatnonzero(left)
+                rows, left = rows[keep], left[keep]
+        # refval[m]: the value of every size-m reference, in order
+        refval = [np.zeros(filled[0], dtype=np.int64),
+                  t.single[_bit_index(np.concatenate(refs[1]))]]
+        solved = []
+        for uniq, inv, val, miss, u, off, rounds in reversed(levels):
+            sub = refval[-1][off:off + miss.size]
+            best = (t.single[u] >> 1) + (sub >> 1)
+            par = t.single[u] ^ sub
+            below = refval[-2]
+            for rows, path, at in rounds:
+                sub = below[at:at + rows.size]
+                cand = (path >> 1) + (sub >> 1)
+                better = np.flatnonzero(cand < best[rows])
+                best[rows[better]] = cand[better]
+                par[rows[better]] = path[better] ^ sub[better]
+            val[miss] = best << 1 | (par & 1)
+            refval.append(val[inv])
+            solved.append((uniq[miss], val[miss]))
+        keys = np.concatenate([s[0] for s in solved])
+        order = np.argsort(keys)
+        self._insert(keys[order], np.concatenate([s[1] for s in solved])[order])
+        return np.concatenate([refval[m][:refs[m][0].size]
+                               for m in range(2, top + 1)])
+
+    def _insert(self, keys: np.ndarray, vals: np.ndarray):
+        """Add sorted ``keys`` absent from the memo."""
+        pos = np.searchsorted(self.memo_keys, keys)
+        self.memo_keys = np.insert(self.memo_keys, pos, keys)
+        self.memo_vals = np.insert(self.memo_vals, pos, vals)
 
     def corr_mask(self, defect_key: int) -> int:
-        """Data-qubit bit-int of the correction :meth:`parity` scores."""
+        """Data-qubit bit-int of the minimum-weight correction for the
+        defect pattern encoded as a bit-int over local ancilla indices."""
         t = self.tables
         mask = 0
         for comp in _components(defect_key, t.inter):
@@ -214,38 +326,48 @@ class _DefectCache:
         return mask
 
 
-def _memo_solver(t: _TypeTables, memo: dict):
-    """Top-down DP over ``memo``, the recursion and tie rule of
-    ``_kernels.match_defects``: the lowest defect ``u`` goes to the
-    boundary, or to a partner ``v`` in ``inter[u]`` in ascending order,
-    keeping the first strict improvement.  The cut parity of a choice is the
-    XOR of its path's parity bit and the remaining subset's parity."""
-    bnd = t.bnd_w
-    bnd_par = t.bnd_par
-    partners = t.partners
+def _bit_index(bits: np.ndarray) -> np.ndarray:
+    """Index of the set bit of each uint64 power of two."""
+    return np.frexp(bits.astype(np.float64))[1] - 1
 
-    def solve(s):
-        low = s & -s
-        u = low.bit_length() - 1
-        rest = s ^ low
-        sub = memo.get(rest)
-        if sub is None:
-            sub = solve(rest)
-        best = bnd[u] + (sub >> 1)
-        par = bnd_par[u] ^ sub
-        for bit, w, p in partners[u]:
-            if rest & bit:
-                sub = memo.get(rest ^ bit)
-                if sub is None:
-                    sub = solve(rest ^ bit)
-                if w + (sub >> 1) < best:
-                    best = w + (sub >> 1)
-                    par = p ^ sub
-        val = best << 1 | (par & 1)
-        memo[s] = val
-        return val
 
-    return solve
+def _popcount(keys: np.ndarray, pop8: np.ndarray) -> np.ndarray:
+    """int64 set-bit count of each uint64 key."""
+    octets = np.ascontiguousarray(keys, dtype=np.uint64).view(np.uint8)
+    return pop8[octets].reshape(-1, 8).sum(axis=1)
+
+
+def _split_components(keys: np.ndarray, or_tab: np.ndarray):
+    """(row, component) of every interaction component of every uint64
+    defect key, as ``_components`` splits them.
+
+    Each round takes the lowest remaining defect of every nonzero key and
+    grows it by the byte-wise OR tables of ``inter`` until it stops
+    changing, then removes it from the key; so a key's components come out
+    lowest first.
+    """
+    shifts = np.arange(0, 8 * or_tab.shape[0], 8, dtype=np.uint64)
+    byte = np.arange(or_tab.shape[0])
+    rows = np.flatnonzero(keys)
+    rest = keys[rows]
+    out_rows, out_comps = [rows[:0]], [rest[:0]]
+    while rows.size:
+        comp = rest & (~rest + np.uint64(1))
+        grow = np.arange(rows.size)
+        while grow.size:
+            c = comp[grow]
+            near = np.bitwise_or.reduce(
+                or_tab[byte, c[:, None] >> shifts & np.uint64(0xFF)], axis=1)
+            wider = c | (near & rest[grow])
+            changed = wider != c
+            grow = grow[changed]
+            comp[grow] = wider[changed]
+        out_rows.append(rows)
+        out_comps.append(comp)
+        rest = rest ^ comp
+        keep = rest != 0
+        rows, rest = rows[keep], rest[keep]
+    return np.concatenate(out_rows), np.concatenate(out_comps)
 
 
 def _match_component(t: _TypeTables, comp: int, bnd_bits: list,
@@ -364,10 +486,7 @@ class MwpmDecoder:
     @staticmethod
     def _parities(cache: _DefectCache, keys: np.ndarray) -> np.ndarray:
         uniq, inverse = np.unique(keys, return_inverse=True)
-        pars = np.fromiter(
-            (cache.parity(k) for k in uniq.tolist()), dtype=np.uint8,
-            count=len(uniq))
-        return pars[inverse]
+        return cache.parities(uniq)[inverse]
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:

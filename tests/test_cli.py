@@ -354,6 +354,24 @@ def test_eval_mwpm_reproducible_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("d,sets,failures", [
+    (7, ["shots=4000"], [6, 11, 31, 77, 173, 384, 818, 1404, 2027, 2635]),
+    (9, ["shots=2000", "eps_list=0.05,0.1,0.15,0.2"], [11, 125, 419, 906]),
+])
+def test_eval_mwpm_failure_counts_pinned(tmp_path, capsys, d, sets, failures):
+    """Per-point failure counts of seeded MWPM curves, pinned: any change to
+    the matching or its tie rule that moves a logical outcome fails here."""
+    from scdec.eval import read_points_csv
+
+    out = tmp_path / "c.csv"
+    args = ["eval", "--decoder", "mwpm", "-d", str(d), "--set", "seed=5"]
+    for s in sets:
+        args += ["--set", s]
+    assert run(args + ["--out", str(out)], capsys)[0] == 0
+    points, _, _ = read_points_csv(out)
+    assert [round(p.eps_l * p.shots) for p in points] == failures
+
+
 def test_eval_flags_beat_config(tmp_path, capsys):
     """``--decoder`` and ``-d`` win over the config's ``decoder = mwpm`` and
     ``distance = 3``; the provenance hash covers the file and ``--set`` only."""

@@ -324,7 +324,7 @@ def test_cli_outputs_identical_on_the_compiled_kernels(compiled, tmp_path, monke
         assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
         assert main(["eval", "--config", str(cfg), "--checkpoint", str(run / "checkpoint.json"),
                      "--set", "bits=5", "--out", str(run / "q.csv")]) == 0
-        # d=7 at eps 0.25 has 13-22-defect components, which reach match_defects
+        # d=7 at eps 0.25 has components of 13 to 22 defects (the batch DP)
         assert main(["eval", "--decoder", "mwpm", "-d", "7", "--set", "shots=400",
                      "--set", "eps_list=0.1,0.25", "--out", str(run / "m.csv")]) == 0
         return {p.name: p.read_bytes() for p in sorted(run.iterdir())}

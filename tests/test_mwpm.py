@@ -256,12 +256,12 @@ def test_decoder_caching_consistent_with_decode():
 
 # ------------------------------------------------- shared per-sector memo --
 
-# Sampled syndromes whose components fall on both sides of _SHARED_MAX and,
-# at d=9, eps=0.3, above MATCH_DP_MAX.
+# Sampled syndromes with components of 12 and 13 defects and, at d=9,
+# eps=0.3, of more than MATCH_DP_MAX.
 _MEMO_SAMPLES = ((5, 0.05, 200), (5, 0.3, 200), (7, 0.1, 200), (7, 0.3, 60),
                  (9, 0.05, 100), (9, 0.2, 40), (9, 0.3, 120))
 # The exhaustive oracle visits 2^k subsets; components of 15..22 defects
-# (the unchanged match_defects route, checked against it above) are skipped.
+# are skipped here and held to ``_match_component`` below.
 _ORACLE_MAX = 14
 
 
@@ -297,7 +297,7 @@ def _reference_correction(tab, defects, sizes):
 def test_memo_path_equals_independent_reference():
     """Parities from ``cut_parities_batch`` (over the shared memo) and masks
     from ``decode_masks`` equal per-component reference matchings."""
-    from scdec.mwpm import _SHARED_MAX, _tables
+    from scdec.mwpm import _tables
 
     sizes = []
     for d, eps, n in _MEMO_SAMPLES:
@@ -315,8 +315,122 @@ def test_memo_path_equals_independent_reference():
                     continue
                 assert int(par) == want[1], (d, eps, i, t)
                 assert masks[t] == want[0], (d, eps, i, t)
-    assert sizes.count(_SHARED_MAX) and sizes.count(_SHARED_MAX + 1)
+    assert sizes.count(12) and sizes.count(13)
     assert max(sizes) > MATCH_DP_MAX
+
+
+def _sector_keys(d, syn):
+    """(tables, uint64 defect keys) per ancilla sector of ``syn``."""
+    from scdec.mwpm import _pack_bits, _tables
+
+    nx = build_layout(d).n_anc_x
+    return [(tab, _pack_bits(cols))
+            for tab, cols in zip(_tables(d), (syn[:, :nx], syn[:, nx:]))]
+
+
+_ORACLE_SAMPLES = _MEMO_SAMPLES + ((3, 0.3, 300), (11, 0.05, 60), (11, 0.12, 10))
+
+
+def test_batch_dp_equals_match_component_on_every_component():
+    """Every component of 2 to MATCH_DP_MAX defects, decoded as a key of its
+    own in one batch over a cold memo, gets the parity of the per-component
+    matcher (``_kernels.match_defects`` pair arrays)."""
+    from scdec.mwpm import _components, _DefectCache, _match_component
+
+    sizes = set()
+    for d, eps, n in _ORACLE_SAMPLES:
+        _, syn = _sampled_syndromes(d, eps, n)
+        for tab, keys in _sector_keys(d, syn):
+            comps = sorted({c for key in keys.tolist()
+                            for c in _components(key, tab.inter)
+                            if 2 <= c.bit_count() <= MATCH_DP_MAX})
+            got = _DefectCache(tab).parities(np.array(comps, dtype=np.uint64))
+            want = [_match_component(tab, c, tab.bnd_par, tab.path_par)
+                    for c in comps]
+            assert got.tolist() == want, (d, eps)
+            sizes.update(c.bit_count() for c in comps)
+    assert sizes == set(range(2, MATCH_DP_MAX + 1))
+
+
+def test_batch_dp_keeps_the_tie_rule_on_random_instances():
+    """Weights in 0..3 make ties common and random parity bits make tied
+    matchings differ in cut parity, so every choice of the batch DP must be
+    the per-component matcher's: boundary first, then partners in ascending
+    order, first strict improvement."""
+    from scdec.mwpm import _components, _DefectCache, _match_component, _type_tables
+
+    rng = np.random.default_rng(41)
+    for k in range(2, 13):
+        for trial in range(6):
+            w = np.triu(rng.integers(0, 4, size=(k, k)), 1)
+            p = np.triu(rng.integers(0, 2, size=(k, k)), 1)
+            tab = _type_tables(w + w.T, rng.integers(0, 4, size=k),
+                               (p + p.T).tolist(),
+                               rng.integers(0, 2, size=k).tolist(), 1)
+            keys = np.unique(rng.integers(1, 1 << k, size=200)).astype(np.uint64)
+            got = _DefectCache(tab).parities(keys)
+            want = [sum(_match_component(tab, c, tab.bnd_par, tab.path_par)
+                        for c in _components(key, tab.inter)) & 1
+                    for key in keys.tolist()]
+            assert got.tolist() == want, (k, trial)
+
+
+def test_batch_component_split_equals_bitmask_bfs_and_union_find():
+    from scdec.mwpm import _components, _split_components
+
+    for d, eps, n in _ORACLE_SAMPLES:
+        _, syn = _sampled_syndromes(d, eps, n)
+        for tab, keys in _sector_keys(d, syn):
+            rows, comps = _split_components(keys, tab.or_tab)
+            got = [[] for _ in range(keys.size)]
+            for r, c in zip(rows.tolist(), comps.tolist()):
+                got[r].append(c)
+            for key, split in zip(keys.tolist(), got):
+                assert split == list(_components(key, tab.inter)), key
+                defects = [u for u in range(64) if key >> u & 1]
+                assert [[u for u in defects if c >> u & 1] for c in split] == \
+                    union_find_components(defects, tab.dist, tab.bnd), key
+
+
+def _per_row_parities(lay, syn):
+    """(lz, lx) of each row decoded alone through ``decode_masks``."""
+    from scdec.lattice import cut_parities
+
+    out = []
+    for row in syn:
+        corr = decode_mwpm(lay, Syndrome(row))
+        lx, lz = cut_parities(lay, corr.x_bits, corr.z_bits)
+        out.append((int(lz), int(lx)))
+    return out
+
+
+def test_batch_edge_cases():
+    """Zero rows, all-zero keys, duplicated rows, a single row, and d=11
+    keys on the top sector bit 59."""
+    lay, syn = _sampled_syndromes(7, 0.2, 40)
+    lz, lx = MwpmDecoder(lay).cut_parities_batch(syn[:0])
+    assert lz.shape == lx.shape == (0,)
+    assert lz.dtype == lx.dtype == np.uint8
+
+    zero = np.zeros((5, lay.n_anc), dtype=np.uint8)
+    for pars in MwpmDecoder(lay).cut_parities_batch(zero):
+        assert pars.tolist() == [0] * 5
+
+    rows = np.concatenate([syn, syn[::-1], syn[:1], zero[:2]])
+    lz, lx = MwpmDecoder(lay).cut_parities_batch(rows)
+    assert list(zip(lz.tolist(), lx.tolist())) == _per_row_parities(lay, rows)
+
+    for i in (0, 17):
+        lz, lx = MwpmDecoder(lay).cut_parities_batch(syn[i:i + 1])
+        assert [(int(lz[0]), int(lx[0]))] == _per_row_parities(lay, syn[i:i + 1])
+
+    lay, syn = _sampled_syndromes(11, 0.08, 300)
+    nx = lay.n_anc_x
+    assert nx == lay.n_anc - nx == 60
+    top = syn[(syn[:, nx - 1] == 1) | (syn[:, -1] == 1)]
+    assert top[:, nx - 1].any() and top[:, -1].any()
+    lz, lx = MwpmDecoder(lay).cut_parities_batch(top)
+    assert list(zip(lz.tolist(), lx.tolist())) == _per_row_parities(lay, top)
 
 
 def test_clearing_the_memo_changes_nothing(monkeypatch):
@@ -324,19 +438,67 @@ def test_clearing_the_memo_changes_nothing(monkeypatch):
     parities; masks do not read the memo."""
     from scdec.mwpm import _DefectCache
 
+    clears = []
+    clear = _DefectCache.clear
+
+    def counted(self):
+        clears.append(self)
+        clear(self)
+
+    monkeypatch.setattr(_DefectCache, "clear", counted)
+
     def decode(lay, syn):
         dec = MwpmDecoder(lay)
         pars = dec.cut_parities_batch(syn)
-        return [p.tolist() for p in pars], len(dec._cache_x.memo)
+        return [p.tolist() for p in pars], dec._cache_x.memo_keys.size
 
     for d, eps, n in ((7, 0.1, 300), (7, 0.3, 60), (9, 0.1, 60), (9, 0.2, 20)):
         lay, syn = _sampled_syndromes(d, eps, n)
         pars, size = decode(lay, syn)
         with monkeypatch.context() as m:
             m.setattr(_DefectCache, "MAX_ENTRIES", 64)
+            del clears[:]
             small_pars, small_size = decode(lay, syn)
+        # two clears are the decoder's two empty memos
+        assert len(clears) > 20, (d, eps, len(clears))
         assert small_size < size
         assert small_pars == pars, (d, eps)
+
+
+def test_memo_stays_within_its_cap_plus_one_slice(monkeypatch):
+    """On d=9, eps=0.3 syndromes the memo is cleared once it holds
+    MAX_ENTRIES, a slice adds at most its bound (the sum of F(n+2) over its
+    components, at most MAX_ENTRIES // 4 unless one component exceeds that
+    alone), so the memo never holds more than MAX_ENTRIES + MAX_ENTRIES // 4
+    when every component's bound is below the slice cap."""
+    from scdec.mwpm import _DefectCache
+
+    cap = 1 << 18
+    monkeypatch.setattr(_DefectCache, "MAX_ENTRIES", cap)
+    fib = [0, 1]
+    while len(fib) < MATCH_DP_MAX + 3:
+        fib.append(fib[-1] + fib[-2])
+    assert fib[MATCH_DP_MAX + 2] <= cap // 4
+    slices = []
+    solve = _DefectCache._solve
+
+    def watched(self, comps):
+        before = self.memo_keys.size
+        out = solve(self, comps)
+        bound = sum(fib[c.bit_count() + 2] for c in comps.tolist())
+        slices.append((before, self.memo_keys.size - before, bound, comps.size))
+        return out
+
+    monkeypatch.setattr(_DefectCache, "_solve", watched)
+    lay, syn = _sampled_syndromes(9, 0.3, 400)
+    MwpmDecoder(lay).cut_parities_batch(syn)
+    for before, grown, bound, count in slices:
+        assert before < cap
+        assert grown <= bound
+        assert bound <= cap // 4 or count == 1
+        assert before + grown <= cap + cap // 4
+    assert sum(before == 0 for before, *_ in slices) > 2      # cleared
+    assert max(before + grown for before, grown, *_ in slices) > cap
 
 
 def test_decode_size_mismatch():
