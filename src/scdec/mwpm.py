@@ -14,14 +14,15 @@ the lowest-index defect prefers the boundary, then the lowest-index partner.
 A defect pattern is split into interaction components, matched one by one.
 Batch decoding (``cut_parities_batch``) works on whole arrays of uint64
 defect keys: it splits every unique key into components at once, solves
-every component of 2 to ``MATCH_DP_MAX`` (22) defects with one
-level-by-level subset DP per batch over a per-sector memo of ``weight << 1
-| cut_parity``, and XORs the components' parities.  The cut parity of a
-matching is the XOR of one precomputed bit per path, so batch decoding never
-builds a correction mask.  Lone defects take their boundary route and larger
+the unique components of 2 to ``MATCH_DP_MAX`` (22) defects with a
+level-by-level subset DP of ``weight << 1 | cut_parity`` values, one per
+slice of components, and XORs the components' parities.  The cut parity of a
+matching is the XOR of one precomputed bit per path, so the DP never builds
+a correction mask.  Lone defects take their boundary route and larger
 components the networkx blossom.  Single-shot decoding builds correction
 masks from the pair arrays of ``_kernels.match_defects``, whose recursion
-and tie rule the batch DP shares.
+and tie rule the batch DP shares.  Nothing is kept between calls but the
+per-distance tables.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ class _TypeTables:
     bnd_mask: list            # bnd_mask[u]: boundary path data bits
     cut_mask: int             # data bits of the logical cut this plane crosses
     inter: list               # inter[u]: bit-int of v with dist < bnd[u] + bnd[v]
-    bnd_par: list             # bnd_par[u]: cut parity of bnd_mask[u]
-    path_par: list            # path_par[u][v]: cut parity of path_mask[u][v]
     # Arrays of the batch path; a matching value is ``weight << 1 | parity``.
     inter_keys: np.ndarray    # (k,) uint64: inter as keys
     or_tab: np.ndarray        # (ceil(k/8), 256) uint64: [j, b] = OR of
@@ -142,9 +141,10 @@ def _type_tables(dist: np.ndarray, bnd: np.ndarray, path_mask: list,
                  bnd_mask: list, cut_mask: int) -> _TypeTables:
     """Complete one sector's tables from its paths and the logical cut."""
     k = len(bnd)
-    bnd_par = [(m & cut_mask).bit_count() & 1 for m in bnd_mask]
-    path_par = [[(m & cut_mask).bit_count() & 1 for m in row]
-                for row in path_mask]
+    single_par = np.array([(m & cut_mask).bit_count() & 1 for m in bnd_mask],
+                          dtype=np.int64)
+    pair_par = np.array([[(m & cut_mask).bit_count() & 1 for m in row]
+                         for row in path_mask], dtype=np.int64)
     near = dist.astype(np.int64) < bnd[:, None].astype(np.int64) + bnd[None, :]
     np.fill_diagonal(near, False)
     inter_keys = _pack_bits(near)
@@ -160,170 +160,124 @@ def _type_tables(dist: np.ndarray, bnd: np.ndarray, path_mask: list,
         fib[i] = fib[i - 1] + fib[i - 2]
     return _TypeTables(
         dist, bnd, path_mask, bnd_mask, cut_mask,
-        [int(x) for x in inter_keys.tolist()], bnd_par, path_par,
-        inter_keys, or_tab,
-        bnd.astype(np.int64) << 1 | np.array(bnd_par, dtype=np.int64),
-        dist.astype(np.int64) << 1 | np.array(path_par, dtype=np.int64),
+        [int(x) for x in inter_keys.tolist()], inter_keys, or_tab,
+        bnd.astype(np.int64) << 1 | single_par,
+        dist.astype(np.int64) << 1 | pair_par,
         byte_bits.sum(axis=1, dtype=np.int64), fib[1:])
 
 
-class _DefectCache:
-    """Per-sector matching memo shared by every defect key.
+# Caps the batch DP's memory: ``_parities`` hands ``_solve`` its components
+# in slices whose reachable-subset bounds, the sum of F(n + 2), stay at or
+# below this (or one component alone), and a slice's arrays are freed before
+# the next.  On 1,000 d=9 shots at eps=0.3 one unsliced DP peaked at 415
+# MiB RSS, against 78 MiB in slices.  Peak RSS of whole ``scdec eval
+# --decoder mwpm`` runs (2-vCPU x86-64 host, CPython 3.11, numpy 2.4,
+# 65,536-shot chunks): 98 MiB for the default d=9 grid at 3,000 shots,
+# 116 MiB for 8,000 d=9 shots at eps=0.3, 134 MiB for 200,000 d=9 shots at
+# eps=0.1 and 154 MiB for 100,000 d=11 shots at eps=0.05.
+_SLICE_SUBSETS = 1 << 18
 
-    ``memo_keys`` (sorted uint64) and ``memo_vals`` (int64) map a subset of
-    the sector's defects, as a bit-key over local ancilla indices, to
-    ``weight << 1 | cut_parity`` of its minimum-weight matching, for subsets
-    of two or more defects.  The value depends on the subset alone, so the
-    states one key's DP reaches serve every later key that reaches them.
+
+def _parities(t: _TypeTables, keys: np.ndarray) -> np.ndarray:
+    """uint8 cut parity of the minimum-weight correction of each uint64
+    defect key of one sector (bits are local ancilla indices)."""
+    keys, key_inv = np.unique(keys, return_inverse=True)
+    rows, comps = _split_components(keys, t.or_tab)
+    uniq, inv = np.unique(comps, return_inverse=True)
+    n = _popcount(uniq, t.pop8)
+    val = np.empty(uniq.size, dtype=np.int64)
+    lone = n == 1               # a lone defect takes its boundary route
+    val[lone] = t.single[_bit_index(uniq[lone])]
+    for i in np.flatnonzero(n > _kernels.MATCH_DP_MAX).tolist():
+        mask = _match_component(t, int(uniq[i]))
+        val[i] = (mask & t.cut_mask).bit_count() & 1
+    # DP components in ascending size, in slices whose reachable-subset
+    # bounds sum to at most _SLICE_SUBSETS (one component at least)
+    order = np.flatnonzero(~lone & (n <= _kernels.MATCH_DP_MAX))
+    order = order[np.argsort(n[order], kind="stable")]
+    bound = np.cumsum(t.reach[n[order]])
+    start = 0
+    while start < order.size:
+        base = bound[start - 1] if start else 0
+        stop = max(int(np.searchsorted(bound, base + _SLICE_SUBSETS,
+                                       side="right")), start + 1)
+        part = order[start:stop]
+        val[part] = _solve(t, uniq[part])
+        start = stop
+    odd = np.bincount(rows, weights=val[inv] & 1, minlength=keys.size)
+    return (odd % 2).astype(np.uint8)[key_inv]
+
+
+def _solve(t: _TypeTables, comps: np.ndarray) -> np.ndarray:
+    """``weight << 1 | cut_parity`` of the optimal matching of each subset
+    in ``comps`` (2 to MATCH_DP_MAX defects, ascending size).
+
+    The recursion and tie rule of ``_kernels.match_defects``, one level of
+    popcount at a time.  Top-down, each level's distinct subsets are
+    expanded: the lowest defect ``u`` goes to the boundary (the rest is one
+    level down) or to a partner ``v``, a defect of the rest in ``inter[u]``
+    (two levels down), taken in rounds of ascending ``v``.  Bottom-up, the
+    boundary option is the first best and each round replaces it only on a
+    strict improvement.  The cut parity of an option is its path's parity
+    bit XOR the remaining subset's parity.
     """
+    n = _popcount(comps, t.pop8)
+    top = int(n[-1])
+    # refs[m]: arrays of the size-m subsets that the comps and the levels
+    # above need, in order of reference; filled[m]: their count
+    refs = [[comps[n == m]] for m in range(top + 1)]
+    filled = [r[0].size for r in refs]
+    levels = []
+    for m in range(top, 1, -1):
+        uniq, inv = np.unique(np.concatenate(refs[m]), return_inverse=True)
+        low = uniq & (~uniq + np.uint64(1))
+        u = _bit_index(low)
+        rest = uniq ^ low
+        rounds = []
+        levels.append((inv, u, filled[m - 1], rounds))
+        refs[m - 1].append(rest)
+        filled[m - 1] += rest.size
+        left = rest & t.inter_keys[u]
+        rows = np.flatnonzero(left)
+        left = left[rows]
+        while rows.size:            # round i: the i-th lowest partner
+            bit = left & (~left + np.uint64(1))
+            rounds.append(
+                (rows, t.pair[u[rows], _bit_index(bit)], filled[m - 2]))
+            refs[m - 2].append(rest[rows] ^ bit)
+            filled[m - 2] += rows.size
+            left ^= bit
+            keep = np.flatnonzero(left)
+            rows, left = rows[keep], left[keep]
+    # refval[m]: the value of every size-m reference, in order
+    refval = [np.zeros(filled[0], dtype=np.int64),
+              t.single[_bit_index(np.concatenate(refs[1]))]]
+    for inv, u, off, rounds in reversed(levels):
+        sub = refval[-1][off:off + u.size]
+        best = (t.single[u] >> 1) + (sub >> 1)
+        par = t.single[u] ^ sub
+        below = refval[-2]
+        for rows, path, at in rounds:
+            sub = below[at:at + rows.size]
+            cand = (path >> 1) + (sub >> 1)
+            better = np.flatnonzero(cand < best[rows])
+            best[rows[better]] = cand[better]
+            par[rows[better]] = path[better] ^ sub[better]
+        refval.append((best << 1 | (par & 1))[inv])
+    return np.concatenate([refval[m][:refs[m][0].size]
+                           for m in range(2, top + 1)])
 
-    __slots__ = ("tables", "memo_keys", "memo_vals")
-    # Caps resident memory: an entry takes 16 bytes, a memo of MAX_ENTRIES
-    # entries is cleared before the next slice, and a slice adds at most
-    # MAX_ENTRIES // 4, so a sector's memo stays under 20 MiB.  Peak RSS of
-    # whole decodes (CPython 3.11, numpy 2.4, 65,536-shot chunks): 1,000 d=9
-    # shots at eps=0.3, one clear per sector, 120-123 MiB; 200,000 d=9 shots
-    # at eps=0.1, seven clears per sector, 172 MiB; 100,000 d=11 shots at
-    # eps=0.05, two per sector, 158 MiB.
-    MAX_ENTRIES = 1 << 20
 
-    def __init__(self, tables: _TypeTables):
-        self.tables = tables
-        self.clear()
-
-    def clear(self):
-        self.memo_keys = np.empty(0, dtype=np.uint64)
-        self.memo_vals = np.empty(0, dtype=np.int64)
-
-    def parities(self, keys: np.ndarray) -> np.ndarray:
-        """uint8 cut parity of the minimum-weight correction of each uint64
-        defect key (bits are local ancilla indices)."""
-        t = self.tables
-        rows, comps = _split_components(keys, t.or_tab)
-        uniq, inv = np.unique(comps, return_inverse=True)
-        n = _popcount(uniq, t.pop8)
-        val = np.empty(uniq.size, dtype=np.int64)
-        lone = n == 1               # a lone defect takes its boundary route
-        val[lone] = t.single[_bit_index(uniq[lone])]
-        for i in np.flatnonzero(n > _kernels.MATCH_DP_MAX).tolist():
-            val[i] = _match_component(t, int(uniq[i]), t.bnd_par, t.path_par)
-        # DP components in ascending size, in slices whose reachable-subset
-        # bounds sum to at most MAX_ENTRIES // 4 (one component at least)
-        order = np.flatnonzero(~lone & (n <= _kernels.MATCH_DP_MAX))
-        order = order[np.argsort(n[order], kind="stable")]
-        bound = np.cumsum(t.reach[n[order]])
-        cap = self.MAX_ENTRIES // 4
-        start = 0
-        while start < order.size:
-            base = bound[start - 1] if start else 0
-            stop = max(int(np.searchsorted(bound, base + cap, side="right")),
-                       start + 1)
-            if self.memo_keys.size >= self.MAX_ENTRIES:
-                self.clear()
-            part = order[start:stop]
-            val[part] = self._solve(uniq[part])
-            start = stop
-        odd = np.bincount(rows, weights=val[inv] & 1, minlength=keys.size)
-        return (odd % 2).astype(np.uint8)
-
-    def _lookup(self, subsets: np.ndarray) -> np.ndarray:
-        """Memo values of sorted distinct ``subsets``, -1 where absent."""
-        mk = self.memo_keys
-        out = np.full(subsets.size, -1, dtype=np.int64)
-        if mk.size:
-            pos = np.minimum(np.searchsorted(mk, subsets), mk.size - 1)
-            hit = mk[pos] == subsets
-            out[hit] = self.memo_vals[pos[hit]]
-        return out
-
-    def _solve(self, comps: np.ndarray) -> np.ndarray:
-        """``weight << 1 | cut_parity`` of the optimal matching of each
-        subset in ``comps`` (2 to MATCH_DP_MAX defects, ascending size);
-        every subset the DP solves joins the memo.
-
-        The recursion and tie rule of ``_kernels.match_defects``, one level
-        of popcount at a time.  Top-down, each level's distinct subsets
-        that miss the memo are expanded: the lowest defect ``u`` goes to the
-        boundary (the rest is one level down) or to a partner ``v``, a
-        defect of the rest in ``inter[u]`` (two levels down), taken in
-        rounds of ascending ``v``.  Bottom-up, the boundary option is the
-        first best and each round replaces it only on a strict improvement.
-        The cut parity of an option is its path's parity bit XOR the
-        remaining subset's parity.
-        """
-        t = self.tables
-        n = _popcount(comps, t.pop8)
-        top = int(n[-1])
-        # refs[m]: arrays of the size-m subsets that the comps and the
-        # levels above need, in order of reference; filled[m]: their count
-        refs = [[comps[n == m]] for m in range(top + 1)]
-        filled = [r[0].size for r in refs]
-        levels = []
-        for m in range(top, 1, -1):
-            uniq, inv = np.unique(np.concatenate(refs[m]), return_inverse=True)
-            val = self._lookup(uniq)
-            miss = np.flatnonzero(val < 0)
-            new = uniq[miss]
-            low = new & (~new + np.uint64(1))
-            u = _bit_index(low)
-            rest = new ^ low
-            rounds = []
-            levels.append((uniq, inv, val, miss, u, filled[m - 1], rounds))
-            refs[m - 1].append(rest)
-            filled[m - 1] += rest.size
-            left = rest & t.inter_keys[u]
-            rows = np.flatnonzero(left)
-            left = left[rows]
-            while rows.size:        # round i: the i-th lowest partner
-                bit = left & (~left + np.uint64(1))
-                rounds.append(
-                    (rows, t.pair[u[rows], _bit_index(bit)], filled[m - 2]))
-                refs[m - 2].append(rest[rows] ^ bit)
-                filled[m - 2] += rows.size
-                left ^= bit
-                keep = np.flatnonzero(left)
-                rows, left = rows[keep], left[keep]
-        # refval[m]: the value of every size-m reference, in order
-        refval = [np.zeros(filled[0], dtype=np.int64),
-                  t.single[_bit_index(np.concatenate(refs[1]))]]
-        solved = []
-        for uniq, inv, val, miss, u, off, rounds in reversed(levels):
-            sub = refval[-1][off:off + miss.size]
-            best = (t.single[u] >> 1) + (sub >> 1)
-            par = t.single[u] ^ sub
-            below = refval[-2]
-            for rows, path, at in rounds:
-                sub = below[at:at + rows.size]
-                cand = (path >> 1) + (sub >> 1)
-                better = np.flatnonzero(cand < best[rows])
-                best[rows[better]] = cand[better]
-                par[rows[better]] = path[better] ^ sub[better]
-            val[miss] = best << 1 | (par & 1)
-            refval.append(val[inv])
-            solved.append((uniq[miss], val[miss]))
-        keys = np.concatenate([s[0] for s in solved])
-        order = np.argsort(keys)
-        self._insert(keys[order], np.concatenate([s[1] for s in solved])[order])
-        return np.concatenate([refval[m][:refs[m][0].size]
-                               for m in range(2, top + 1)])
-
-    def _insert(self, keys: np.ndarray, vals: np.ndarray):
-        """Add sorted ``keys`` absent from the memo."""
-        pos = np.searchsorted(self.memo_keys, keys)
-        self.memo_keys = np.insert(self.memo_keys, pos, keys)
-        self.memo_vals = np.insert(self.memo_vals, pos, vals)
-
-    def corr_mask(self, defect_key: int) -> int:
-        """Data-qubit bit-int of the minimum-weight correction for the
-        defect pattern encoded as a bit-int over local ancilla indices."""
-        t = self.tables
-        mask = 0
-        for comp in _components(defect_key, t.inter):
-            if comp & (comp - 1):
-                mask ^= _match_component(t, comp, t.bnd_mask, t.path_mask)
-            else:
-                mask ^= t.bnd_mask[comp.bit_length() - 1]
-        return mask
+def _corr_mask(t: _TypeTables, defect_key: int) -> int:
+    """Data-qubit bit-int of the minimum-weight correction for one sector's
+    defect pattern, encoded as a bit-int over local ancilla indices."""
+    mask = 0
+    for comp in _components(defect_key, t.inter):
+        if comp & (comp - 1):
+            mask ^= _match_component(t, comp)
+        else:
+            mask ^= t.bnd_mask[comp.bit_length() - 1]
+    return mask
 
 
 def _bit_index(bits: np.ndarray) -> np.ndarray:
@@ -370,11 +324,10 @@ def _split_components(keys: np.ndarray, or_tab: np.ndarray):
     return np.concatenate(out_rows), np.concatenate(out_comps)
 
 
-def _match_component(t: _TypeTables, comp: int, bnd_bits: list,
-                     path_bits: list):
-    """XOR of ``bnd_bits`` / ``path_bits`` over the optimal matching of a
-    component: ``_kernels.match_defects`` up to ``MATCH_DP_MAX`` defects,
-    else the blossom."""
+def _match_component(t: _TypeTables, comp: int) -> int:
+    """Data-qubit bit-int of the optimal matching of a component:
+    ``_kernels.match_defects`` up to ``MATCH_DP_MAX`` defects, else the
+    blossom."""
     members = []
     while comp:
         members.append((comp & -comp).bit_length() - 1)
@@ -389,9 +342,9 @@ def _match_component(t: _TypeTables, comp: int, bnd_bits: list,
     out = 0
     for i, j in enumerate(pair.tolist()):
         if j < 0:
-            out ^= bnd_bits[members[i]]
+            out ^= t.bnd_mask[members[i]]
         elif j > i:
-            out ^= path_bits[members[i]][members[j]]
+            out ^= t.path_mask[members[i]][members[j]]
     return out
 
 
@@ -447,7 +400,7 @@ def _large_matching(dist: np.ndarray, bnd: np.ndarray) -> np.ndarray:
 
 
 class MwpmDecoder:
-    """Stateful decoder for one layout; keeps one matching memo per sector."""
+    """Decoder for one layout; keeps no state between calls."""
 
     def __init__(self, layout: Layout):
         widest = max(layout.n_anc_x, layout.n_anc - layout.n_anc_x)
@@ -456,9 +409,7 @@ class MwpmDecoder:
                 f"MWPM supports distances up to {MAX_DISTANCE}: d={layout.d} "
                 f"has {widest} ancillas per sector, more than {_KEY_BITS}")
         self.layout = layout
-        tx, tz = _tables(layout.d)
-        self._cache_x = _DefectCache(tx)
-        self._cache_z = _DefectCache(tz)
+        self._tx, self._tz = _tables(layout.d)
 
     def decode_masks(self, syn_bits: np.ndarray):
         """(z_plane_mask, x_plane_mask) bit-ints for one syndrome."""
@@ -466,8 +417,8 @@ class MwpmDecoder:
         row = np.asarray(syn_bits)[None, :]
         key_x = int(_pack_bits(row[:, :nx])[0])
         key_z = int(_pack_bits(row[:, nx:])[0])
-        zmask = self._cache_x.corr_mask(key_x)   # X defects -> Z corrections
-        xmask = self._cache_z.corr_mask(key_z)   # Z defects -> X corrections
+        zmask = _corr_mask(self._tx, key_x)   # X defects -> Z corrections
+        xmask = _corr_mask(self._tz, key_z)   # Z defects -> X corrections
         return zmask, xmask
 
     def cut_parities_batch(self, syn: np.ndarray):
@@ -477,16 +428,9 @@ class MwpmDecoder:
         ``lx`` from the X-plane corrections.
         """
         nx = self.layout.n_anc_x
-        keys_x = _pack_bits(syn[:, :nx])
-        keys_z = _pack_bits(syn[:, nx:])
-        lz = self._parities(self._cache_x, keys_x)
-        lx = self._parities(self._cache_z, keys_z)
+        lz = _parities(self._tx, _pack_bits(syn[:, :nx]))
+        lx = _parities(self._tz, _pack_bits(syn[:, nx:]))
         return lz, lx
-
-    @staticmethod
-    def _parities(cache: _DefectCache, keys: np.ndarray) -> np.ndarray:
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        return cache.parities(uniq)[inverse]
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -498,17 +442,11 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     return (bits.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
 
 
-@lru_cache(maxsize=None)
-def _decoder_for(d: int) -> MwpmDecoder:
-    return MwpmDecoder(build_layout(d))
-
-
 def decode_mwpm(layout: Layout, s: Syndrome) -> ErrorConfig:
     """Minimum-weight correction reproducing syndrome ``s``."""
     if s.bits.shape != (layout.n_anc,):
         raise ValueError("syndrome sized for a different layout")
-    dec = _decoder_for(layout.d)
-    zmask, xmask = dec.decode_masks(s.bits)
+    zmask, xmask = MwpmDecoder(layout).decode_masks(s.bits)
     return ErrorConfig(_int_to_bits(xmask, layout.n_data),
                        _int_to_bits(zmask, layout.n_data))
 

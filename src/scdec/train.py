@@ -61,6 +61,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.n_batches < 0:
+            raise ValueError("n_batches must be >= 0")
+        if self.log_every < 1:
+            raise ValueError("log_every must be >= 1")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
         if self.reg_scale < 0:

@@ -121,6 +121,18 @@ def test_non_integral_int_key_is_exit_3(tmp_path, capsys, no_sampling, cmd, sett
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["log_every=0", "n_batches=-1"])
+@pytest.mark.parametrize("cmd", ["sweep", "train"])
+def test_bad_training_length_is_exit_3(tmp_path, capsys, no_sampling, cmd, setting):
+    """A training key out of its range exits 3, names the key and writes
+    nothing, before any shot is sampled."""
+    out = tmp_path / "out"
+    code, _, err = run(_CONFIG_ARGV[cmd] + ["--set", setting, "--out", str(out)],
+                       capsys)
+    assert code == 3 and setting.split("=")[0] in err
+    assert not out.exists()
+
+
 def test_int_keys_take_integral_values_only():
     cfg = resolve_config({"shots": parse_config_text("shots = 1e5")["shots"], "n1": 8.0})
     assert cfg["shots"] == 100_000 and type(cfg["shots"]) is int

@@ -312,7 +312,8 @@ def test_backend_reports_name():
 
 def test_cli_outputs_identical_on_the_compiled_kernels(compiled, tmp_path, monkeypatch, capsys):
     """``scdec eval`` (MWPM and a 5-bit network) and ``scdec train`` write the
-    same bytes when every kernel the library calls is the compiled one."""
+    same bytes, and ``scdec decode --decoder mwpm`` prints the same
+    correction, when every kernel the library calls is the compiled one."""
     from scdec.cli import main
 
     cfg = tmp_path / "exp.cfg"
@@ -327,12 +328,25 @@ def test_cli_outputs_identical_on_the_compiled_kernels(compiled, tmp_path, monke
         # d=7 at eps 0.25 has components of 13 to 22 defects (the batch DP)
         assert main(["eval", "--decoder", "mwpm", "-d", "7", "--set", "shots=400",
                      "--set", "eps_list=0.1,0.25", "--out", str(run / "m.csv")]) == 0
-        return {p.name: p.read_bytes() for p in sorted(run.iterdir())}
+        capsys.readouterr()
+        # single-shot matching runs match_defects on a 9-defect X component
+        # and a 10-defect Z component
+        assert main(["decode", "-d", "7", "--decoder", "mwpm", "--syndrome",
+                     "100011100011010000100010011101000001001001101010"]) == 0
+        printed = capsys.readouterr().out
+        return {p.name: p.read_bytes() for p in sorted(run.iterdir())}, printed
 
     want = outputs("numpy")
+    sizes = []
+
+    def counted(dist, bnd):
+        sizes.append(len(bnd))
+        return compiled.match_defects(dist, bnd)
+
     for name in ("philox4x32", "sample_pauli_bits", "syndrome_bits", "gf2_matmul",
-                 "fixed_forward_bits", "match_defects"):
+                 "fixed_forward_bits"):
         monkeypatch.setattr(_kernels, name, getattr(compiled, name))
+    monkeypatch.setattr(_kernels, "match_defects", counted)
     got = outputs("compiled")
-    capsys.readouterr()
-    assert got == want and len(want) == 4
+    assert got == want and len(want[0]) == 4
+    assert want[1].count("\n") == 2 and sorted(sizes) == [9, 10]

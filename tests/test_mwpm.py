@@ -254,12 +254,12 @@ def test_decoder_caching_consistent_with_decode():
         assert (int(clx), int(clz)) == (int(lx[i]), int(lz[i]))
 
 
-# ------------------------------------------------- shared per-sector memo --
+# ------------------------------------------------------- batch decoding --
 
 # Sampled syndromes with components of 12 and 13 defects and, at d=9,
 # eps=0.3, of more than MATCH_DP_MAX.
-_MEMO_SAMPLES = ((5, 0.05, 200), (5, 0.3, 200), (7, 0.1, 200), (7, 0.3, 60),
-                 (9, 0.05, 100), (9, 0.2, 40), (9, 0.3, 120))
+_LATTICE_SAMPLES = ((5, 0.05, 200), (5, 0.3, 200), (7, 0.1, 200), (7, 0.3, 60),
+                    (9, 0.05, 100), (9, 0.2, 40), (9, 0.3, 120))
 # The exhaustive oracle visits 2^k subsets; components of 15..22 defects
 # are skipped here and held to ``_match_component`` below.
 _ORACLE_MAX = 14
@@ -294,13 +294,13 @@ def _reference_correction(tab, defects, sizes):
     return mask, (mask & tab.cut_mask).bit_count() & 1
 
 
-def test_memo_path_equals_independent_reference():
-    """Parities from ``cut_parities_batch`` (over the shared memo) and masks
-    from ``decode_masks`` equal per-component reference matchings."""
+def test_batch_and_single_shot_equal_independent_reference():
+    """Parities from ``cut_parities_batch`` (the batch DP) and masks from
+    ``decode_masks`` equal per-component reference matchings."""
     from scdec.mwpm import _tables
 
     sizes = []
-    for d, eps, n in _MEMO_SAMPLES:
+    for d, eps, n in _LATTICE_SAMPLES:
         lay, syn = _sampled_syndromes(d, eps, n)
         nx = lay.n_anc_x
         dec = MwpmDecoder(lay)
@@ -328,14 +328,14 @@ def _sector_keys(d, syn):
             for tab, cols in zip(_tables(d), (syn[:, :nx], syn[:, nx:]))]
 
 
-_ORACLE_SAMPLES = _MEMO_SAMPLES + ((3, 0.3, 300), (11, 0.05, 60), (11, 0.12, 10))
+_ORACLE_SAMPLES = _LATTICE_SAMPLES + ((3, 0.3, 300), (11, 0.05, 60), (11, 0.12, 10))
 
 
 def test_batch_dp_equals_match_component_on_every_component():
     """Every component of 2 to MATCH_DP_MAX defects, decoded as a key of its
-    own in one batch over a cold memo, gets the parity of the per-component
-    matcher (``_kernels.match_defects`` pair arrays)."""
-    from scdec.mwpm import _components, _DefectCache, _match_component
+    own in one batch, gets the cut parity of the per-component matcher's
+    mask (``_kernels.match_defects`` pair arrays)."""
+    from scdec.mwpm import _components, _match_component, _parities
 
     sizes = set()
     for d, eps, n in _ORACLE_SAMPLES:
@@ -344,8 +344,8 @@ def test_batch_dp_equals_match_component_on_every_component():
             comps = sorted({c for key in keys.tolist()
                             for c in _components(key, tab.inter)
                             if 2 <= c.bit_count() <= MATCH_DP_MAX})
-            got = _DefectCache(tab).parities(np.array(comps, dtype=np.uint64))
-            want = [_match_component(tab, c, tab.bnd_par, tab.path_par)
+            got = _parities(tab, np.array(comps, dtype=np.uint64))
+            want = [(_match_component(tab, c) & tab.cut_mask).bit_count() & 1
                     for c in comps]
             assert got.tolist() == want, (d, eps)
             sizes.update(c.bit_count() for c in comps)
@@ -357,7 +357,7 @@ def test_batch_dp_keeps_the_tie_rule_on_random_instances():
     matchings differ in cut parity, so every choice of the batch DP must be
     the per-component matcher's: boundary first, then partners in ascending
     order, first strict improvement."""
-    from scdec.mwpm import _components, _DefectCache, _match_component, _type_tables
+    from scdec.mwpm import _components, _match_component, _parities, _type_tables
 
     rng = np.random.default_rng(41)
     for k in range(2, 13):
@@ -368,8 +368,8 @@ def test_batch_dp_keeps_the_tie_rule_on_random_instances():
                                (p + p.T).tolist(),
                                rng.integers(0, 2, size=k).tolist(), 1)
             keys = np.unique(rng.integers(1, 1 << k, size=200)).astype(np.uint64)
-            got = _DefectCache(tab).parities(keys)
-            want = [sum(_match_component(tab, c, tab.bnd_par, tab.path_par)
+            got = _parities(tab, keys)
+            want = [sum(_match_component(tab, c)
                         for c in _components(key, tab.inter)) & 1
                     for key in keys.tolist()]
             assert got.tolist() == want, (k, trial)
@@ -433,72 +433,30 @@ def test_batch_edge_cases():
     assert list(zip(lz.tolist(), lx.tolist())) == _per_row_parities(lay, top)
 
 
-def test_clearing_the_memo_changes_nothing(monkeypatch):
-    """A memo capped at 64 entries clears many times and gives the same
-    parities; masks do not read the memo."""
-    from scdec.mwpm import _DefectCache
+def test_batch_dp_slices_stay_within_their_bound(monkeypatch):
+    """On d=9, eps=0.3 syndromes every ``_solve`` call reaches at most
+    _SLICE_SUBSETS subsets by its bound, the sum of F(n+2) over its
+    components, unless it holds a single component."""
+    from scdec import mwpm
 
-    clears = []
-    clear = _DefectCache.clear
-
-    def counted(self):
-        clears.append(self)
-        clear(self)
-
-    monkeypatch.setattr(_DefectCache, "clear", counted)
-
-    def decode(lay, syn):
-        dec = MwpmDecoder(lay)
-        pars = dec.cut_parities_batch(syn)
-        return [p.tolist() for p in pars], dec._cache_x.memo_keys.size
-
-    for d, eps, n in ((7, 0.1, 300), (7, 0.3, 60), (9, 0.1, 60), (9, 0.2, 20)):
-        lay, syn = _sampled_syndromes(d, eps, n)
-        pars, size = decode(lay, syn)
-        with monkeypatch.context() as m:
-            m.setattr(_DefectCache, "MAX_ENTRIES", 64)
-            del clears[:]
-            small_pars, small_size = decode(lay, syn)
-        # two clears are the decoder's two empty memos
-        assert len(clears) > 20, (d, eps, len(clears))
-        assert small_size < size
-        assert small_pars == pars, (d, eps)
-
-
-def test_memo_stays_within_its_cap_plus_one_slice(monkeypatch):
-    """On d=9, eps=0.3 syndromes the memo is cleared once it holds
-    MAX_ENTRIES, a slice adds at most its bound (the sum of F(n+2) over its
-    components, at most MAX_ENTRIES // 4 unless one component exceeds that
-    alone), so the memo never holds more than MAX_ENTRIES + MAX_ENTRIES // 4
-    when every component's bound is below the slice cap."""
-    from scdec.mwpm import _DefectCache
-
-    cap = 1 << 18
-    monkeypatch.setattr(_DefectCache, "MAX_ENTRIES", cap)
     fib = [0, 1]
     while len(fib) < MATCH_DP_MAX + 3:
         fib.append(fib[-1] + fib[-2])
-    assert fib[MATCH_DP_MAX + 2] <= cap // 4
+    assert fib[MATCH_DP_MAX + 2] <= mwpm._SLICE_SUBSETS
     slices = []
-    solve = _DefectCache._solve
+    solve = mwpm._solve
 
-    def watched(self, comps):
-        before = self.memo_keys.size
-        out = solve(self, comps)
-        bound = sum(fib[c.bit_count() + 2] for c in comps.tolist())
-        slices.append((before, self.memo_keys.size - before, bound, comps.size))
-        return out
+    def watched(t, comps):
+        slices.append((sum(fib[c.bit_count() + 2] for c in comps.tolist()),
+                       comps.size))
+        return solve(t, comps)
 
-    monkeypatch.setattr(_DefectCache, "_solve", watched)
+    monkeypatch.setattr(mwpm, "_solve", watched)
     lay, syn = _sampled_syndromes(9, 0.3, 400)
     MwpmDecoder(lay).cut_parities_batch(syn)
-    for before, grown, bound, count in slices:
-        assert before < cap
-        assert grown <= bound
-        assert bound <= cap // 4 or count == 1
-        assert before + grown <= cap + cap // 4
-    assert sum(before == 0 for before, *_ in slices) > 2      # cleared
-    assert max(before + grown for before, grown, *_ in slices) > cap
+    for bound, count in slices:
+        assert bound <= mwpm._SLICE_SUBSETS or count == 1, (bound, count)
+    assert len(slices) > 2
 
 
 def test_decode_size_mismatch():

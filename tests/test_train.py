@@ -208,6 +208,11 @@ def test_train_config_validation():
         TrainConfig(reg_scale=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(reg_bits=9)
+    with pytest.raises(ValueError, match="n_batches"):
+        TrainConfig(n_batches=-1)
+    with pytest.raises(ValueError, match="log_every"):
+        TrainConfig(log_every=0)
+    assert TrainConfig(n_batches=0, log_every=1).n_batches == 0
     assert TrainConfig().resolved_p_train(3) == MWPM_PTH[3]
     assert TrainConfig(p_train=0.07).resolved_p_train(3) == 0.07
 
