@@ -15,6 +15,10 @@ Both backends expose:
     gf2_matmul(bits, mat)                     batched GF(2) matrix product
     fixed_forward_bits(...)                   bit-exact fixed-point NN inference
     match_defects(dist, bnd)                  exact min-weight defect matching
+
+``match_defects`` is a reference, not a decoder path: ``scdec.mwpm`` matches
+with its own numpy subset DP, and the tests hold that DP, its tie rule
+included, to ``match_defects``' pair arrays.
 """
 
 import os

@@ -425,10 +425,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs a 'distance' key")
     layout = build_layout(cfg["distance"])
     seed = cfg["seed"]
-    # every training config and its p_train are checked before a cell trains
+    # every training config, its p_train and the eval settings are checked
+    # before a cell trains
     train_cfgs = {rb: _train_config({**cfg, "reg_bits": rb}) for rb in cfg["reg_bits"]}
     for tc in train_cfgs.values():
         tc.resolved_p_train(layout.d)
+    eval_mod.check_settings(_eps_grid(cfg), cfg["shots"])
 
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     lines = [f"# {provenance(parsed, seed)}", _SWEEP_COLUMNS]

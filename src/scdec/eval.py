@@ -137,6 +137,20 @@ def default_eps_grid(n_points: int = 10, lo: float = 0.03, hi: float = 0.3):
     return [float(e) for e in np.geomspace(lo, hi, n_points)]
 
 
+def check_settings(eps_list, shots: int) -> list:
+    """``eps_list`` as floats, after checking that it is a nonempty list of
+    probabilities and that ``shots`` is positive."""
+    eps_list = [float(e) for e in eps_list]
+    if not eps_list:
+        raise ValueError("eps_list must not be empty")
+    if shots <= 0:
+        raise ValueError("shots must be positive")
+    for eps in eps_list:
+        if not 0.0 <= eps <= 1.0:
+            raise ValueError(f"physical error rate must be in [0, 1], got {eps}")
+    return eps_list
+
+
 def benchmark(decoder, layout: Layout, eps_list, shots: int, seed: int):
     """Logical error rate of ``decoder`` at each physical rate.
 
@@ -144,11 +158,7 @@ def benchmark(decoder, layout: Layout, eps_list, shots: int, seed: int):
     difference in either bit.  Shot ``k`` of point ``i`` is drawn from
     stream ``EVAL_STREAM_BASE + i``, so results are independent of chunking.
     """
-    eps_list = [float(e) for e in eps_list]
-    if not eps_list:
-        raise ValueError("eps_list must not be empty")
-    if shots <= 0:
-        raise ValueError("shots must be positive")
+    eps_list = check_settings(eps_list, shots)
     points = []
     for i, eps in enumerate(eps_list):
         failures = 0

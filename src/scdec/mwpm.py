@@ -11,18 +11,18 @@ Tie-breaking is pinned for reproducibility: shortest paths come from a BFS
 that scans neighbours in ascending index, and among equal-weight matchings
 the lowest-index defect prefers the boundary, then the lowest-index partner.
 
-A defect pattern is split into interaction components, matched one by one.
-Batch decoding (``cut_parities_batch``) works on whole arrays of uint64
-defect keys: it splits every unique key into components at once, solves
-the unique components of 2 to ``MATCH_DP_MAX`` (22) defects with a
-level-by-level subset DP of ``weight << 1 | cut_parity`` values, one per
-slice of components, and XORs the components' parities.  The cut parity of a
-matching is the XOR of one precomputed bit per path, so the DP never builds
-a correction mask.  Lone defects take their boundary route and larger
-components the networkx blossom.  Single-shot decoding builds correction
-masks from the pair arrays of ``_kernels.match_defects``, whose recursion
-and tie rule the batch DP shares.  Nothing is kept between calls but the
-per-distance tables.
+One matcher serves both decoding paths.  Defects are held as uint64 keys
+over local ancilla indices and split into interaction components, matched
+one by one (``_split_components``).  A lone defect takes its boundary route
+and a component of more than ``MATCH_DP_MAX`` (22) the networkx blossom.
+Every component of 2 to 22 defects goes to one level-by-level subset DP
+(``_levels``) of ``weight << 1 | cut_parity`` values.  Batch decoding
+(``cut_parities_batch``) solves a batch's unique components in slices and
+XORs their parities; the cut parity of a matching is the XOR of one
+precomputed bit per path, so it never builds a correction mask.
+Single-shot decoding (``decode_masks``) traces each component's matching
+back down the same DP's levels and XORs the paths' data-qubit masks.
+Nothing is kept between calls but the per-distance tables.
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ class _TypeTables:
     path_mask: list           # path_mask[u][v]: data-qubit set as a bit-int
     bnd_mask: list            # bnd_mask[u]: boundary path data bits
     cut_mask: int             # data bits of the logical cut this plane crosses
-    inter: list               # inter[u]: bit-int of v with dist < bnd[u] + bnd[v]
-    # Arrays of the batch path; a matching value is ``weight << 1 | parity``.
-    inter_keys: np.ndarray    # (k,) uint64: inter as keys
+    # Arrays of the DP; a matching value is ``weight << 1 | parity``.
+    inter_keys: np.ndarray    # (k,) uint64: bit v of inter_keys[u] is set
+                              # where dist[u, v] < bnd[u] + bnd[v], v != u
     or_tab: np.ndarray        # (ceil(k/8), 256) uint64: [j, b] = OR of
-                              # inter[8j + i] over the set bits i of byte b
+                              # inter_keys[8j + i] over the set bits i of b
     single: np.ndarray        # (k,) int64 value of u's boundary route
     pair: np.ndarray          # (k, k) int64 value of the path u - v
     pop8: np.ndarray          # (256,) int64 popcount of a byte
@@ -159,8 +159,7 @@ def _type_tables(dist: np.ndarray, bnd: np.ndarray, path_mask: list,
     for i in range(2, fib.size):
         fib[i] = fib[i - 1] + fib[i - 2]
     return _TypeTables(
-        dist, bnd, path_mask, bnd_mask, cut_mask,
-        [int(x) for x in inter_keys.tolist()], inter_keys, or_tab,
+        dist, bnd, path_mask, bnd_mask, cut_mask, inter_keys, or_tab,
         bnd.astype(np.int64) << 1 | single_par,
         dist.astype(np.int64) << 1 | pair_par,
         byte_bits.sum(axis=1, dtype=np.int64), fib[1:])
@@ -210,31 +209,45 @@ def _parities(t: _TypeTables, keys: np.ndarray) -> np.ndarray:
 
 def _solve(t: _TypeTables, comps: np.ndarray) -> np.ndarray:
     """``weight << 1 | cut_parity`` of the optimal matching of each subset
-    in ``comps`` (2 to MATCH_DP_MAX defects, ascending size).
+    in ``comps`` (2 to MATCH_DP_MAX defects)."""
+    n = _popcount(comps, t.pop8)
+    out = np.empty(comps.size, dtype=np.int64)
+    for m, (subs, vals) in enumerate(_levels(t, comps)):
+        at = n == m
+        out[at] = vals[np.searchsorted(subs, comps[at])]
+    return out
 
-    The recursion and tie rule of ``_kernels.match_defects``, one level of
-    popcount at a time.  Top-down, each level's distinct subsets are
-    expanded: the lowest defect ``u`` goes to the boundary (the rest is one
-    level down) or to a partner ``v``, a defect of the rest in ``inter[u]``
-    (two levels down), taken in rounds of ascending ``v``.  Bottom-up, the
-    boundary option is the first best and each round replaces it only on a
-    strict improvement.  The cut parity of an option is its path's parity
-    bit XOR the remaining subset's parity.
+
+def _levels(t: _TypeTables, comps: np.ndarray) -> list:
+    """``levels[m] = (subsets, values)``, m from 0 to the largest popcount
+    in ``comps`` (2 to MATCH_DP_MAX defects each): the sorted distinct
+    subsets of m defects that the DP over ``comps`` reaches, and the
+    ``weight << 1 | cut_parity`` of each one's optimal matching.  Levels 0
+    and 1 list the empty set and every lone defect.
+
+    A subset DP with the pinned tie rule, one level of popcount at a time.
+    Top-down, each level's distinct subsets are expanded: the lowest defect
+    ``u`` goes to the boundary (the rest is one level down) or to a partner
+    ``v``, a defect of the rest in ``inter_keys[u]`` (two levels down),
+    taken in rounds of ascending ``v``.  Bottom-up, the boundary option is
+    the first best and each round replaces it only on a strict improvement.
+    The cut parity of an option is its path's parity bit XOR the remaining
+    subset's parity.
     """
     n = _popcount(comps, t.pop8)
-    top = int(n[-1])
+    top = int(n.max())
     # refs[m]: arrays of the size-m subsets that the comps and the levels
     # above need, in order of reference; filled[m]: their count
     refs = [[comps[n == m]] for m in range(top + 1)]
     filled = [r[0].size for r in refs]
-    levels = []
+    down = []
     for m in range(top, 1, -1):
         uniq, inv = np.unique(np.concatenate(refs[m]), return_inverse=True)
         low = uniq & (~uniq + np.uint64(1))
         u = _bit_index(low)
         rest = uniq ^ low
         rounds = []
-        levels.append((inv, u, filled[m - 1], rounds))
+        down.append((uniq, inv, u, filled[m - 1], rounds))
         refs[m - 1].append(rest)
         filled[m - 1] += rest.size
         left = rest & t.inter_keys[u]
@@ -249,10 +262,13 @@ def _solve(t: _TypeTables, comps: np.ndarray) -> np.ndarray:
             left ^= bit
             keep = np.flatnonzero(left)
             rows, left = rows[keep], left[keep]
+    levels = [(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64)),
+              (np.uint64(1) << np.arange(t.single.size, dtype=np.uint64),
+               t.single)]
     # refval[m]: the value of every size-m reference, in order
     refval = [np.zeros(filled[0], dtype=np.int64),
               t.single[_bit_index(np.concatenate(refs[1]))]]
-    for inv, u, off, rounds in reversed(levels):
+    for uniq, inv, u, off, rounds in reversed(down):
         sub = refval[-1][off:off + u.size]
         best = (t.single[u] >> 1) + (sub >> 1)
         par = t.single[u] ^ sub
@@ -263,20 +279,58 @@ def _solve(t: _TypeTables, comps: np.ndarray) -> np.ndarray:
             better = np.flatnonzero(cand < best[rows])
             best[rows[better]] = cand[better]
             par[rows[better]] = path[better] ^ sub[better]
-        refval.append((best << 1 | (par & 1))[inv])
-    return np.concatenate([refval[m][:refs[m][0].size]
-                           for m in range(2, top + 1)])
+        vals = best << 1 | (par & 1)
+        levels.append((uniq, vals))
+        refval.append(vals[inv])
+    return levels
 
 
 def _corr_mask(t: _TypeTables, defect_key: int) -> int:
     """Data-qubit bit-int of the minimum-weight correction for one sector's
     defect pattern, encoded as a bit-int over local ancilla indices."""
+    _, comps = _split_components(np.array([defect_key], dtype=np.uint64),
+                                 t.or_tab)
+    n = _popcount(comps, t.pop8)
+    small = comps[(n > 1) & (n <= _kernels.MATCH_DP_MAX)]
+    levels = _levels(t, small) if small.size else None
     mask = 0
-    for comp in _components(defect_key, t.inter):
-        if comp & (comp - 1):
+    for comp, k in zip(comps.tolist(), n.tolist()):
+        if k == 1:
+            mask ^= t.bnd_mask[comp.bit_length() - 1]
+        elif k > _kernels.MATCH_DP_MAX:
             mask ^= _match_component(t, comp)
         else:
-            mask ^= t.bnd_mask[comp.bit_length() - 1]
+            mask ^= _trace(t, levels, comp)
+    return mask
+
+
+def _trace(t: _TypeTables, levels: list, comp: int) -> int:
+    """Data-qubit bit-int of the matching that the DP ``levels`` chose for
+    ``comp``.
+
+    From the full set down, the lowest defect ``u`` takes the first option
+    whose weight plus the rest's optimum equals the subset's optimum: the
+    boundary, then partners ``v`` of ``inter_keys[u]`` in ascending order.
+    That is the option the DP's first strict improvement keeps.
+    """
+    def weight(sub: int) -> int:
+        subs, vals = levels[sub.bit_count()]
+        return int(vals[np.searchsorted(subs, np.uint64(sub))]) >> 1
+
+    mask = 0
+    best = weight(comp)
+    while comp:
+        u = (comp & -comp).bit_length() - 1
+        rest = comp ^ (1 << u)
+        w, sub, path = int(t.single[u]) >> 1, rest, t.bnd_mask[u]
+        left = int(t.inter_keys[u]) & rest
+        while w + weight(sub) != best:
+            bit = left & -left
+            v = bit.bit_length() - 1
+            w, sub, path = int(t.pair[u, v]) >> 1, rest ^ bit, t.path_mask[u][v]
+            left ^= bit
+        mask ^= path
+        comp, best = sub, best - w
     return mask
 
 
@@ -293,10 +347,15 @@ def _popcount(keys: np.ndarray, pop8: np.ndarray) -> np.ndarray:
 
 def _split_components(keys: np.ndarray, or_tab: np.ndarray):
     """(row, component) of every interaction component of every uint64
-    defect key, as ``_components`` splits them.
+    defect key.
+
+    When ``dist[u, v] >= bnd[u] + bnd[v]`` a matched pair (u, v) can be
+    replaced by two boundary routes without increasing the total weight, so
+    the minimum weight is preserved by matching the connected components of
+    the complementary relation, ``inter_keys``, independently.
 
     Each round takes the lowest remaining defect of every nonzero key and
-    grows it by the byte-wise OR tables of ``inter`` until it stops
+    grows it by the byte-wise OR tables of ``inter_keys`` until it stops
     changing, then removes it from the key; so a key's components come out
     lowest first.
     """
@@ -325,20 +384,14 @@ def _split_components(keys: np.ndarray, or_tab: np.ndarray):
 
 
 def _match_component(t: _TypeTables, comp: int) -> int:
-    """Data-qubit bit-int of the optimal matching of a component:
-    ``_kernels.match_defects`` up to ``MATCH_DP_MAX`` defects, else the
-    blossom."""
+    """Data-qubit bit-int of the blossom matching of a component of more
+    than ``MATCH_DP_MAX`` defects."""
     members = []
     while comp:
         members.append((comp & -comp).bit_length() - 1)
         comp &= comp - 1
     idx = np.array(members, dtype=np.intp)
-    dist = t.dist[idx[:, None], idx]
-    bnd = t.bnd[idx]
-    if len(members) <= _kernels.MATCH_DP_MAX:
-        pair = _kernels.match_defects(dist, bnd)
-    else:
-        pair = _large_matching(dist, bnd)
+    pair = _large_matching(t.dist[idx[:, None], idx], t.bnd[idx])
     out = 0
     for i, j in enumerate(pair.tolist()):
         if j < 0:
@@ -346,27 +399,6 @@ def _match_component(t: _TypeTables, comp: int) -> int:
         elif j > i:
             out ^= t.path_mask[members[i]][members[j]]
     return out
-
-
-def _components(defects: int, inter: list):
-    """Yield the interaction components of a defect bit-int, lowest first.
-
-    When ``dist[u, v] >= bnd[u] + bnd[v]`` a matched pair (u, v) can be
-    replaced by two boundary routes without increasing the total weight, so
-    the minimum weight is preserved by matching the connected components of
-    the complementary relation, ``inter``, independently.
-    """
-    while defects:
-        comp = frontier = defects & -defects
-        defects ^= comp
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = inter[low.bit_length() - 1] & defects
-            defects ^= new
-            comp |= new
-            frontier |= new
-        yield comp
 
 
 def _large_matching(dist: np.ndarray, bnd: np.ndarray) -> np.ndarray:

@@ -71,6 +71,8 @@ class TrainConfig:
             raise ValueError("reg_scale must be >= 0")
         if not 2 <= self.reg_bits <= 8:
             raise ValueError("reg_bits must be in 2..8")
+        if self.p_train is not None and not 0.0 <= self.p_train <= 1.0:
+            raise ValueError(f"p_train must be in [0, 1], got {self.p_train}")
 
     def resolved_p_train(self, d: int) -> float:
         if self.p_train is not None:

@@ -133,6 +133,22 @@ def test_bad_training_length_is_exit_3(tmp_path, capsys, no_sampling, cmd, setti
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd,setting", [
+    ("train", "p_train=1.5"), ("train", "p_train=nan"),
+    ("sweep", "p_train=1.5"), ("sweep", "p_train=nan"),
+    ("sweep", "eps_max=2"), ("sweep", "eps_list=0.1,nan"), ("sweep", "shots=0"),
+    ("eval", "eps_list=0.1,1.5"), ("eval", "eps_max=2"),
+])
+def test_setting_out_of_range_is_exit_3(tmp_path, capsys, no_sampling, cmd, setting):
+    """A training or evaluation error rate outside [0, 1], or no shots,
+    exits 3 and writes nothing, before any shot is sampled."""
+    out = tmp_path / "out"
+    code, _, err = run(_CONFIG_ARGV[cmd] + ["--set", setting, "--out", str(out)],
+                       capsys)
+    assert code == 3 and "must be" in err
+    assert not out.exists()
+
+
 def test_int_keys_take_integral_values_only():
     cfg = resolve_config({"shots": parse_config_text("shots = 1e5")["shots"], "n1": 8.0})
     assert cfg["shots"] == 100_000 and type(cfg["shots"]) is int

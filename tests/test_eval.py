@@ -43,6 +43,9 @@ def test_benchmark_validates_inputs():
         benchmark(TrivialDecoder(), lay, [], 100, seed=0)
     with pytest.raises(ValueError):
         benchmark(TrivialDecoder(), lay, [0.1], 0, seed=0)
+    for bad in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="must be in"):
+            benchmark(TrivialDecoder(), lay, [0.1, bad], 100, seed=0)
 
 
 def test_trivial_decoder_matches_exact_enumeration():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,34 @@ from oracles import (
     subset_dp_matching,
     union_find_components,
 )
+
+
+def _bits(key):
+    """Sorted set-bit indices of a bit-int."""
+    return [u for u in range(key.bit_length()) if key >> u & 1]
+
+
+def _pair_mask(tab, comp, pair):
+    """Data-qubit mask of a pair array over the sorted defects ``comp``."""
+    mask = 0
+    for i, j in enumerate(pair):
+        if j < 0:
+            mask ^= tab.bnd_mask[comp[i]]
+        elif j > i:
+            mask ^= tab.path_mask[comp[i]][comp[j]]
+    return mask
+
+
+def _reference_mask(tab, defects):
+    """Data-qubit mask of the reference matcher's pair arrays
+    (``python_backend.match_defects``), one per union-find component of
+    ``defects``."""
+    mask = 0
+    for comp in union_find_components(defects, tab.dist, tab.bnd):
+        idx = np.array(comp, dtype=np.intp)
+        pair = python_backend.match_defects(tab.dist[np.ix_(idx, idx)], tab.bnd[idx])
+        mask ^= _pair_mask(tab, comp, pair.tolist())
+    return mask
 
 
 # ------------------------------------------------------ blossom fallback --
@@ -33,7 +63,7 @@ def test_large_matching_weight_equals_uncapped_dp_on_lattice_components(monkeypa
     """The components the decoder sends to the blossom (more than
     MATCH_DP_MAX defects) get the weight the top-down DP finds without its
     cap: the 8 smallest of 200 d=9 syndromes at eps = 0.3."""
-    from scdec.mwpm import _components, _tables
+    from scdec.mwpm import _pack_bits, _split_components, _tables
 
     lay = build_layout(9)
     xb, zb = sample_depolarizing_bits(lay, 0.3, 23, 0, 0, 200)
@@ -41,12 +71,11 @@ def test_large_matching_weight_equals_uncapped_dp_on_lattice_components(monkeypa
     nx = lay.n_anc_x
     large = []
     for tab, cols in zip(_tables(9), (syn[:, :nx], syn[:, nx:])):
-        for row in cols:
-            key = sum(1 << int(u) for u in np.flatnonzero(row))
-            for comp in _components(key, tab.inter):
-                members = [u for u in range(comp.bit_length()) if comp >> u & 1]
-                if len(members) > MATCH_DP_MAX:
-                    large.append((len(members), members, tab))
+        _, comps = _split_components(_pack_bits(cols), tab.or_tab)
+        for comp in comps.tolist():
+            members = _bits(comp)
+            if len(members) > MATCH_DP_MAX:
+                large.append((len(members), members, tab))
     large.sort(key=lambda item: item[:2])
     assert len(large) >= 8
     monkeypatch.setattr(python_backend, "MATCH_DP_MAX", 64)
@@ -137,16 +166,6 @@ def _lattice_defect_sets():
         for tab, cols in zip(_tables(d), (syn[:, :nx], syn[:, nx:])):
             for row in cols:
                 yield tab, np.flatnonzero(row).tolist()
-
-
-def test_bitmask_components_equal_union_find():
-    from scdec.mwpm import _components
-
-    for tab, defects in _lattice_defect_sets():
-        key = sum(1 << u for u in defects)
-        got = [[u for u in defects if c >> u & 1]
-               for c in _components(key, tab.inter)]
-        assert got == union_find_components(defects, tab.dist, tab.bnd), defects
 
 
 def test_python_matcher_pairs_equal_subset_dp_on_lattice_components():
@@ -286,11 +305,7 @@ def _reference_correction(tab, defects, sizes):
         bnd = tab.bnd[idx]
         pair = (subset_dp_matching(dist, bnd) if k <= _ORACLE_MAX
                 else _large_matching(dist, bnd).tolist())
-        for i, j in enumerate(pair):
-            if j < 0:
-                mask ^= tab.bnd_mask[comp[i]]
-            elif j > i:
-                mask ^= tab.path_mask[comp[i]][comp[j]]
+        mask ^= _pair_mask(tab, comp, pair)
     return mask, (mask & tab.cut_mask).bit_count() & 1
 
 
@@ -319,6 +334,58 @@ def test_batch_and_single_shot_equal_independent_reference():
     assert max(sizes) > MATCH_DP_MAX
 
 
+# Seeded syndromes whose components take every size from 1 to MATCH_DP_MAX,
+# and a few sizes above it, with the sha256 of their ``decode_masks``.
+_PINNED_SAMPLES = ((3, 0.3, 200), (5, 0.3, 200), (7, 0.25, 100), (9, 0.2, 60),
+                   (11, 0.15, 16))
+_PINNED_MASKS = "c5d25907850d3e6e3f3a0e4298b3af401bbb203db1652aa2e634791485b37612"
+
+
+def test_single_shot_masks_pinned():
+    """Correction masks of single-shot decoding, pinned at d = 3 to 11: a
+    change of the tie rule or of a path moves a mask and fails here."""
+    from scdec.mwpm import _popcount, _split_components
+
+    digest = hashlib.sha256()
+    sizes = set()
+    for d, eps, n in _PINNED_SAMPLES:
+        lay, syn = _sampled_syndromes(d, eps, n, seed=5)
+        dec = MwpmDecoder(lay)
+        for row in syn:
+            digest.update("{:x} {:x}\n".format(*dec.decode_masks(row)).encode())
+        for tab, keys in _sector_keys(d, syn):
+            _, comps = _split_components(keys, tab.or_tab)
+            sizes.update(_popcount(comps, tab.pop8).tolist())
+    assert set(range(1, MATCH_DP_MAX + 1)) <= sizes and max(sizes) > MATCH_DP_MAX
+    assert digest.hexdigest() == _PINNED_MASKS
+
+
+@pytest.mark.parametrize("d", (3, 5, 7, 9, 11))
+def test_path_weights_have_the_parity_of_their_masks(d):
+    """Why tied matchings share a cut parity: corrections of one sector that
+    answer the same defects differ by stabilizers, all of even weight, and
+    maybe the sector's logical, of odd weight; and every path's weight has
+    the parity of its data-qubit mask, so a matching's weight has the
+    parity of its correction's popcount."""
+    from scdec.mwpm import _tables
+
+    lay = build_layout(d)
+    for h in (lay.hx, lay.hz):
+        assert not (h.sum(axis=1) % 2).any()
+    for tab, h in zip(_tables(d), (lay.hx, lay.hz)):
+        cut = {q for q in range(lay.n_data) if tab.cut_mask >> q & 1}
+        # the logical of this sector's corrections: no syndrome on its
+        # checks and an odd overlap with its cut
+        logicals = [op for op in (lay.logical_cut_x, lay.logical_cut_z)
+                    if not (h[:, sorted(op)].sum(axis=1) % 2).any()
+                    and len(op & cut) % 2]
+        assert len(logicals) == 1 and len(logicals[0]) % 2 == 1
+        pop = np.array([[m.bit_count() for m in row] for row in tab.path_mask])
+        off = ~np.eye(tab.bnd.size, dtype=bool)
+        assert ((tab.dist - pop)[off] % 2 == 0).all()
+        assert [int(w) % 2 for w in tab.bnd] == [m.bit_count() % 2 for m in tab.bnd_mask]
+
+
 def _sector_keys(d, syn):
     """(tables, uint64 defect keys) per ancilla sector of ``syn``."""
     from scdec.mwpm import _pack_bits, _tables
@@ -333,50 +400,54 @@ _ORACLE_SAMPLES = _LATTICE_SAMPLES + ((3, 0.3, 300), (11, 0.05, 60), (11, 0.12, 
 
 def test_batch_dp_equals_match_component_on_every_component():
     """Every component of 2 to MATCH_DP_MAX defects, decoded as a key of its
-    own in one batch, gets the cut parity of the per-component matcher's
-    mask (``_kernels.match_defects`` pair arrays)."""
-    from scdec.mwpm import _components, _match_component, _parities
+    own, gets the cut parity (batch DP) and the correction mask (single-shot
+    traceback) of the reference matcher's pair array."""
+    from scdec.mwpm import _corr_mask, _parities
 
     sizes = set()
     for d, eps, n in _ORACLE_SAMPLES:
         _, syn = _sampled_syndromes(d, eps, n)
         for tab, keys in _sector_keys(d, syn):
-            comps = sorted({c for key in keys.tolist()
-                            for c in _components(key, tab.inter)
-                            if 2 <= c.bit_count() <= MATCH_DP_MAX})
+            comps = sorted({sum(1 << u for u in c) for key in keys.tolist()
+                            for c in union_find_components(_bits(key), tab.dist, tab.bnd)
+                            if 2 <= len(c) <= MATCH_DP_MAX})
+            want = [_reference_mask(tab, _bits(c)) for c in comps]
             got = _parities(tab, np.array(comps, dtype=np.uint64))
-            want = [(_match_component(tab, c) & tab.cut_mask).bit_count() & 1
-                    for c in comps]
-            assert got.tolist() == want, (d, eps)
+            assert got.tolist() == [(m & tab.cut_mask).bit_count() & 1
+                                    for m in want], (d, eps)
+            assert [_corr_mask(tab, c) for c in comps] == want, (d, eps)
             sizes.update(c.bit_count() for c in comps)
     assert sizes == set(range(2, MATCH_DP_MAX + 1))
 
 
 def test_batch_dp_keeps_the_tie_rule_on_random_instances():
-    """Weights in 0..3 make ties common and random parity bits make tied
-    matchings differ in cut parity, so every choice of the batch DP must be
-    the per-component matcher's: boundary first, then partners in ascending
-    order, first strict improvement."""
-    from scdec.mwpm import _components, _match_component, _parities, _type_tables
+    """Weights in 0..3 make ties common, and random multi-bit path masks
+    make tied matchings differ in mask and in cut parity, so every choice of
+    the batch DP and of the single-shot traceback must be the reference
+    matcher's: boundary first, then partners in ascending order, first
+    strict improvement."""
+    from scdec.mwpm import _corr_mask, _parities, _type_tables
 
     rng = np.random.default_rng(41)
     for k in range(2, 13):
         for trial in range(6):
             w = np.triu(rng.integers(0, 4, size=(k, k)), 1)
-            p = np.triu(rng.integers(0, 2, size=(k, k)), 1)
+            p = np.triu(rng.integers(1, 1 << 16, size=(k, k)), 1)
+            cut = int(rng.integers(1, 1 << 16))
             tab = _type_tables(w + w.T, rng.integers(0, 4, size=k),
-                               (p + p.T).tolist(),
-                               rng.integers(0, 2, size=k).tolist(), 1)
+                               (p | p.T).tolist(),
+                               rng.integers(1, 1 << 16, size=k).tolist(), cut)
             keys = np.unique(rng.integers(1, 1 << k, size=200)).astype(np.uint64)
+            want = [_reference_mask(tab, _bits(key)) for key in keys.tolist()]
             got = _parities(tab, keys)
-            want = [sum(_match_component(tab, c)
-                        for c in _components(key, tab.inter)) & 1
-                    for key in keys.tolist()]
-            assert got.tolist() == want, (k, trial)
+            assert got.tolist() == [(m & cut).bit_count() & 1 for m in want], (k, trial)
+            assert [_corr_mask(tab, key) for key in keys.tolist()] == want, (k, trial)
 
 
 def test_batch_component_split_equals_bitmask_bfs_and_union_find():
-    from scdec.mwpm import _components, _split_components
+    """``_split_components``, the one splitter of both decoding paths, gives
+    each key's union-find components, lowest first."""
+    from scdec.mwpm import _split_components
 
     for d, eps, n in _ORACLE_SAMPLES:
         _, syn = _sampled_syndromes(d, eps, n)
@@ -384,12 +455,9 @@ def test_batch_component_split_equals_bitmask_bfs_and_union_find():
             rows, comps = _split_components(keys, tab.or_tab)
             got = [[] for _ in range(keys.size)]
             for r, c in zip(rows.tolist(), comps.tolist()):
-                got[r].append(c)
+                got[r].append(_bits(c))
             for key, split in zip(keys.tolist(), got):
-                assert split == list(_components(key, tab.inter)), key
-                defects = [u for u in range(64) if key >> u & 1]
-                assert [[u for u in defects if c >> u & 1] for c in split] == \
-                    union_find_components(defects, tab.dist, tab.bnd), key
+                assert split == union_find_components(_bits(key), tab.dist, tab.bnd), key
 
 
 def _per_row_parities(lay, syn):

@@ -212,6 +212,10 @@ def test_train_config_validation():
         TrainConfig(n_batches=-1)
     with pytest.raises(ValueError, match="log_every"):
         TrainConfig(log_every=0)
+    for bad in (-0.01, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="p_train"):
+            TrainConfig(p_train=bad)
+    assert TrainConfig(p_train=1.0).p_train == 1.0
     assert TrainConfig(n_batches=0, log_every=1).n_batches == 0
     assert TrainConfig().resolved_p_train(3) == MWPM_PTH[3]
     assert TrainConfig(p_train=0.07).resolved_p_train(3) == 0.07
