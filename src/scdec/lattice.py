@@ -215,9 +215,10 @@ def cut_parities(layout: Layout, x_bits: np.ndarray, z_bits: np.ndarray):
     class bits; linear over XOR of configurations in general."""
     x_bits = np.asarray(x_bits)
     z_bits = np.asarray(z_bits)
-    lx = x_bits[..., layout._cut_z].sum(axis=-1) % 2
-    lz = z_bits[..., layout._cut_x].sum(axis=-1) % 2
-    return lx.astype(np.uint8), lz.astype(np.uint8)
+    lx = x_bits[..., layout._cut_z].astype(np.uint8, copy=False)
+    lz = z_bits[..., layout._cut_x].astype(np.uint8, copy=False)
+    return (np.bitwise_xor.reduce(lx, axis=-1) & 1,
+            np.bitwise_xor.reduce(lz, axis=-1) & 1)
 
 
 def logical_class(layout: Layout, x_bits, z_bits=None) -> LogicalClass:

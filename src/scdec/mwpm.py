@@ -10,13 +10,18 @@ ancilla).  Edge weights are the number of data-qubit flips.
 Tie-breaking is pinned for reproducibility: shortest paths come from a BFS
 that scans neighbours in ascending index, and among equal-weight matchings
 the lowest-index defect prefers the boundary, then the lowest-index partner.
+A partner ``v`` is shadowed when a defect ``w`` of the same subset, ``u <
+w < v``, lies on a shortest u - v path (``_shadowed``): pairing u with w is
+then never heavier, so v is never that choice, and the DP skips it without
+changing any weight, parity or mask.
 
 One matcher serves both decoding paths.  Defects are held as uint64 keys
 over local ancilla indices and split into interaction components, matched
 one by one (``_split_components``).  A lone defect takes its boundary route
 and a component of more than ``MATCH_DP_MAX`` (22) the networkx blossom.
 Every component of 2 to 22 defects goes to one level-by-level subset DP
-(``_levels``) of ``weight << 1 | cut_parity`` values.  Batch decoding
+(``_levels``) of ``weight << 1 | cut_parity`` values, which reaches only
+the subsets left after shadowed partners are skipped.  Batch decoding
 (``cut_parities_batch``) solves a batch's unique components in slices and
 XORs their parities; the cut parity of a matching is the XOR of one
 precomputed bit per path, so it never builds a correction mask.
@@ -62,6 +67,9 @@ class _TypeTables:
                               # where dist[u, v] < bnd[u] + bnd[v], v != u
     or_tab: np.ndarray        # (ceil(k/8), 256) uint64: [j, b] = OR of
                               # inter_keys[8j + i] over the set bits i of b
+    shadow: np.ndarray        # (k, ceil(k/8), 256) uint64: [u, j, b] = the
+                              # partners of u that the defects 8j + i, i a
+                              # set bit of b, shadow (see ``_shadowed``)
     single: np.ndarray        # (k,) int64 value of u's boundary route
     pair: np.ndarray          # (k, k) int64 value of the path u - v
     pop8: np.ndarray          # (256,) int64 popcount of a byte
@@ -145,35 +153,58 @@ def _type_tables(dist: np.ndarray, bnd: np.ndarray, path_mask: list,
                           dtype=np.int64)
     pair_par = np.array([[(m & cut_mask).bit_count() & 1 for m in row]
                          for row in path_mask], dtype=np.int64)
-    near = dist.astype(np.int64) < bnd[:, None].astype(np.int64) + bnd[None, :]
+    d64 = dist.astype(np.int64)
+    b64 = bnd.astype(np.int64)
+    near = d64 < b64[:, None] + b64[None, :]
     np.fill_diagonal(near, False)
     inter_keys = _pack_bits(near)
+    # w may shadow v (u < w < v) only where re-pairing v with w's partner x
+    # or with the boundary costs no more: dist[v, x] <= dist[v, w] +
+    # dist[w, x] for every x and bnd[v] <= dist[v, w] + bnd[w]
+    guard = ((d64[:, None, :] <= d64[:, :, None] + d64[None]).all(axis=2)
+             & (b64[:, None] <= d64 + b64[None, :]))                # [v, w]
+    ix = np.arange(k)
+    shadows = ((d64[:, :, None] + d64[None] == d64[:, None, :])     # [u, w, v]
+               & guard.T[None]
+               & (ix[:, None, None] < ix[None, :, None])
+               & (ix[None, :, None] < ix[None, None, :]))
     byte_bits = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)
-    n_bytes = -(-k // 8)
-    inter_pad = np.zeros(n_bytes * 8, dtype=np.uint64)
-    inter_pad[:k] = inter_keys
-    or_tab = np.bitwise_or.reduce(
-        np.where(byte_bits[None], inter_pad.reshape(n_bytes, 1, 8),
-                 np.uint64(0)), axis=2)
     fib = np.ones(_kernels.MATCH_DP_MAX + 2, dtype=np.int64)   # F(i + 1)
     for i in range(2, fib.size):
         fib[i] = fib[i - 1] + fib[i - 2]
     return _TypeTables(
-        dist, bnd, path_mask, bnd_mask, cut_mask, inter_keys, or_tab,
-        bnd.astype(np.int64) << 1 | single_par,
-        dist.astype(np.int64) << 1 | pair_par,
+        dist, bnd, path_mask, bnd_mask, cut_mask, inter_keys,
+        _or_table(inter_keys, byte_bits),
+        _or_table(_pack_bits(shadows.reshape(k * k, k)).reshape(k, k),
+                  byte_bits),
+        b64 << 1 | single_par, d64 << 1 | pair_par,
         byte_bits.sum(axis=1, dtype=np.int64), fib[1:])
+
+
+def _or_table(keys: np.ndarray, byte_bits: np.ndarray) -> np.ndarray:
+    """Byte-wise OR tables of the uint64 ``keys[..., i]`` over their last
+    axis: ``[..., j, b]`` is the OR of ``keys[..., 8j + i]`` over the set
+    bits i of the byte b (``byte_bits[b, i]``)."""
+    k = keys.shape[-1]
+    n_bytes = -(-k // 8)
+    pad = np.zeros(keys.shape[:-1] + (n_bytes * 8,), dtype=np.uint64)
+    pad[..., :k] = keys
+    pad = pad.reshape(keys.shape[:-1] + (n_bytes, 1, 8))
+    return np.bitwise_or.reduce(np.where(byte_bits, pad, np.uint64(0)),
+                                axis=-1)
 
 
 # Caps the batch DP's memory: ``_parities`` hands ``_solve`` its components
 # in slices whose reachable-subset bounds, the sum of F(n + 2), stay at or
 # below this (or one component alone), and a slice's arrays are freed before
-# the next.  On 1,000 d=9 shots at eps=0.3 one unsliced DP peaked at 415
-# MiB RSS, against 78 MiB in slices.  Peak RSS of whole ``scdec eval
-# --decoder mwpm`` runs (2-vCPU x86-64 host, CPython 3.11, numpy 2.4,
-# 65,536-shot chunks): 98 MiB for the default d=9 grid at 3,000 shots,
-# 116 MiB for 8,000 d=9 shots at eps=0.3, 134 MiB for 200,000 d=9 shots at
-# eps=0.1 and 154 MiB for 100,000 d=11 shots at eps=0.05.
+# the next.  F(n + 2) ignores the shadowed partners the DP skips, so the
+# bound is loose: on 1,000 d=9 shots at eps=0.3 one unsliced DP peaked at
+# 72 MiB RSS, against 57 MiB in slices (415 against 78 MiB before the
+# skipping).  Peak RSS of whole ``scdec eval --decoder mwpm`` runs (2-vCPU
+# x86-64 host, CPython 3.11, numpy 2.4, 65,536-shot chunks): 69 MiB for the
+# default d=9 grid at 3,000 shots, 86 MiB for 8,000 d=9 shots at eps=0.3,
+# 90 MiB for 200,000 d=9 shots at eps=0.1 and 93 MiB for 100,000 d=11
+# shots at eps=0.05.
 _SLICE_SUBSETS = 1 << 18
 
 
@@ -228,9 +259,10 @@ def _levels(t: _TypeTables, comps: np.ndarray) -> list:
     A subset DP with the pinned tie rule, one level of popcount at a time.
     Top-down, each level's distinct subsets are expanded: the lowest defect
     ``u`` goes to the boundary (the rest is one level down) or to a partner
-    ``v``, a defect of the rest in ``inter_keys[u]`` (two levels down),
-    taken in rounds of ascending ``v``.  Bottom-up, the boundary option is
-    the first best and each round replaces it only on a strict improvement.
+    ``v``, a defect of the rest in ``inter_keys[u]`` that no defect of the
+    rest shadows (two levels down, see ``_shadowed``), taken in rounds of
+    ascending ``v``.  Bottom-up, the boundary option is the first best and
+    each round replaces it only on a strict improvement.
     The cut parity of an option is its path's parity bit XOR the remaining
     subset's parity.
     """
@@ -250,7 +282,7 @@ def _levels(t: _TypeTables, comps: np.ndarray) -> list:
         down.append((uniq, inv, u, filled[m - 1], rounds))
         refs[m - 1].append(rest)
         filled[m - 1] += rest.size
-        left = rest & t.inter_keys[u]
+        left = rest & t.inter_keys[u] & ~_shadowed(t, u, rest)
         rows = np.flatnonzero(left)
         left = left[rows]
         while rows.size:            # round i: the i-th lowest partner
@@ -310,8 +342,9 @@ def _trace(t: _TypeTables, levels: list, comp: int) -> int:
 
     From the full set down, the lowest defect ``u`` takes the first option
     whose weight plus the rest's optimum equals the subset's optimum: the
-    boundary, then partners ``v`` of ``inter_keys[u]`` in ascending order.
-    That is the option the DP's first strict improvement keeps.
+    boundary, then the partners ``v`` that ``_levels`` expands, in
+    ascending order.  That is the option the DP's first strict improvement
+    keeps, and every subset it looks up is one the DP reached.
     """
     def weight(sub: int) -> int:
         subs, vals = levels[sub.bit_count()]
@@ -323,7 +356,7 @@ def _trace(t: _TypeTables, levels: list, comp: int) -> int:
         u = (comp & -comp).bit_length() - 1
         rest = comp ^ (1 << u)
         w, sub, path = int(t.single[u]) >> 1, rest, t.bnd_mask[u]
-        left = int(t.inter_keys[u]) & rest
+        left = int(t.inter_keys[u] & ~_shadowed(t, u, rest)[0]) & rest
         while w + weight(sub) != best:
             bit = left & -left
             v = bit.bit_length() - 1
@@ -332,6 +365,27 @@ def _trace(t: _TypeTables, levels: list, comp: int) -> int:
         mask ^= path
         comp, best = sub, best - w
     return mask
+
+
+def _shadowed(t: _TypeTables, u, rest) -> np.ndarray:
+    """uint64 set of the partners of each lowest defect ``u`` that a defect
+    of its ``rest`` shadows (scalars or equal-length arrays).
+
+    ``w`` shadows ``v`` when ``u < w < v``, ``w`` lies on a shortest u - v
+    path (``dist[u, w] + dist[w, v] == dist[u, v]``) and ``_type_tables``
+    found that re-pairing ``v`` costs no more (its guard).  If pairing u
+    with v is optimal, pairing u with w and v with w's partner (or the
+    boundary) is optimal too, and w comes first, so the first strict
+    improvement never takes v and the DP need not reach its subset.
+    """
+    octets = np.asarray(rest, dtype="<u8").reshape(-1, 1).view(np.uint8)
+    flat = t.shadow.reshape(-1)
+    at = np.asarray(u) * (t.shadow.shape[1] << 8)     # flat index of [u, 0, 0]
+    out = flat.take(at + octets[:, 0])
+    for j in range(1, t.shadow.shape[1]):
+        at += 256
+        out |= flat.take(at + octets[:, j])
+    return out
 
 
 def _bit_index(bits: np.ndarray) -> np.ndarray:
@@ -470,8 +524,9 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     n = bits.shape[1]
     if n > _KEY_BITS:
         raise ValueError(f"defect pattern wider than {_KEY_BITS} bits")
-    shifts = np.arange(n, dtype=np.uint64)
-    return (bits.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
+    octets = np.zeros((bits.shape[0], 8), dtype=np.uint8)
+    octets[:, :-(-n // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return octets.view("<u8")[:, 0].astype(np.uint64, copy=False)
 
 
 def decode_mwpm(layout: Layout, s: Syndrome) -> ErrorConfig:

@@ -218,6 +218,62 @@ def union_find_components(defects, dist, bnd):
     return sorted(sorted(c) for c in comps.values())
 
 
+def random_shortest_path_metric(rng, k, edge_p=0.3, mask_bits=16):
+    """(dist, bnd, path_mask, bnd_mask, cut_mask) of a random connected
+    graph on defects ``0 .. k-1`` and one boundary node ``k``.
+
+    Edge weights are 1..3 and ``dist``/``bnd`` their Floyd-Warshall
+    shortest-path closure, so ties between matchings are common; path masks
+    are random multi-bit ints, so tied matchings differ in mask and in the
+    parity of their overlap with ``cut_mask``.
+    """
+    n = k + 1
+    inf = 10 ** 6
+    w = [[0 if i == j else inf for j in range(n)] for i in range(n)]
+    order = rng.permutation(n).tolist()
+    for i in range(1, n):                    # a random spanning tree
+        a, b = order[i], order[int(rng.integers(0, i))]
+        w[a][b] = w[b][a] = int(rng.integers(1, 4))
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < edge_p:
+                w[a][b] = w[b][a] = int(rng.integers(1, 4))
+    for m in range(n):
+        for a in range(n):
+            for b in range(n):
+                if w[a][m] + w[m][b] < w[a][b]:
+                    w[a][b] = w[a][m] + w[m][b]
+    dist = np.array([row[:k] for row in w[:k]], dtype=np.int32)
+    bnd = np.array([w[u][k] for u in range(k)], dtype=np.int32)
+    top = 1 << mask_bits
+    path_mask = [[0] * k for _ in range(k)]
+    for u in range(k):
+        for v in range(u + 1, k):
+            path_mask[u][v] = path_mask[v][u] = int(rng.integers(1, top))
+    bnd_mask = [int(rng.integers(1, top)) for _ in range(k)]
+    return dist, bnd, path_mask, bnd_mask, int(rng.integers(1, top))
+
+
+def shadow_sets(dist, bnd):
+    """``out[u][w]``: bit-int of the partners ``v`` of ``u`` that ``w``
+    shadows: ``u < w < v``, ``w`` on a shortest u - v path, and
+    ``dist[v][x] <= dist[v][w] + dist[w][x]`` for every ``x`` and
+    ``bnd[v] <= dist[v][w] + bnd[w]``."""
+    k = len(bnd)
+    d = [[int(x) for x in row] for row in dist]
+    b = [int(x) for x in bnd]
+    guard = [[b[v] <= d[v][w] + b[w]
+              and all(d[v][x] <= d[v][w] + d[w][x] for x in range(k))
+              for w in range(k)] for v in range(k)]
+    out = [[0] * k for _ in range(k)]
+    for u in range(k):
+        for w in range(u + 1, k):
+            for v in range(w + 1, k):
+                if d[u][w] + d[w][v] == d[u][v] and guard[v][w]:
+                    out[u][w] |= 1 << v
+    return out
+
+
 def gf2_span(generators):
     """All XOR combinations of integer bit masks (small generator counts)."""
     span = {0}

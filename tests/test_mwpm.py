@@ -11,6 +11,8 @@ from scdec._kernels import MATCH_DP_MAX, match_defects, python_backend
 from oracles import (
     brute_force_boundary_matching,
     match_weight,
+    random_shortest_path_metric,
+    shadow_sets,
     subset_dp_matching,
     union_find_components,
 )
@@ -442,6 +444,99 @@ def test_batch_dp_keeps_the_tie_rule_on_random_instances():
             got = _parities(tab, keys)
             assert got.tolist() == [(m & cut).bit_count() & 1 for m in want], (k, trial)
             assert [_corr_mask(tab, key) for key in keys.tolist()] == want, (k, trial)
+
+
+def test_shadow_pruning_keeps_the_tie_rule_on_random_metrics():
+    """On random shortest-path metrics with edge weights 1..3, where tied
+    matchings are common and differ in mask and cut parity, the batch DP
+    and the traceback, which skip shadowed partners, make every choice of
+    the unpruned reference matcher; the shadowed partners of every reached
+    subset are the defining sets', and skipping them reached fewer
+    subsets."""
+    import dataclasses
+
+    from scdec.mwpm import _corr_mask, _levels, _parities, _shadowed, _type_tables
+
+    rng = np.random.default_rng(43)
+    skipped = reached = unpruned = 0
+    for k in range(2, 15):
+        for trial in range(6):
+            dist, bnd, path_mask, bnd_mask, cut = random_shortest_path_metric(rng, k)
+            tab = _type_tables(dist, bnd, path_mask, bnd_mask, cut)
+            keys = np.unique(rng.integers(1, 1 << k, size=200)).astype(np.uint64)
+            want = [_reference_mask(tab, _bits(key)) for key in keys.tolist()]
+            got = _parities(tab, keys)
+            assert got.tolist() == [(m & cut).bit_count() & 1 for m in want], (k, trial)
+            assert [_corr_mask(tab, key) for key in keys.tolist()] == want, (k, trial)
+            sets = shadow_sets(dist, bnd)
+            pairs = keys[np.array([key.bit_count() > 1 for key in keys.tolist()])]
+            levels = _levels(tab, pairs)
+            full = dataclasses.replace(tab, shadow=np.zeros_like(tab.shadow))
+            reached += sum(subs.size for subs, _ in levels)
+            unpruned += sum(subs.size for subs, _ in _levels(full, pairs))
+            for subs, _ in levels[2:]:
+                low = [(sub & -sub).bit_length() - 1 for sub in subs.tolist()]
+                rest = [sub ^ (1 << u) for sub, u in zip(subs.tolist(), low)]
+                shadowed = []
+                for u, r in zip(low, rest):
+                    shadowed.append(0)
+                    for w in _bits(r):
+                        shadowed[-1] |= sets[u][w]
+                got = _shadowed(tab, np.array(low), np.array(rest, dtype=np.uint64))
+                assert got.tolist() == shadowed, (k, trial)
+                skipped += sum(bool(m & r & int(tab.inter_keys[u]))
+                               for m, r, u in zip(shadowed, rest, low))
+    assert skipped and reached < unpruned
+
+
+@pytest.mark.parametrize("d", (3, 5, 7, 9, 11))
+def test_lattice_shadow_tables(d):
+    """The lattice tables meet the shadow guard for every (v, w), so
+    ``shadow`` depends on shortest paths alone, and at d = 3, 5, 7 it equals
+    the byte-wise OR of the defining sets."""
+    from scdec.mwpm import _tables
+
+    for tab in _tables(d):
+        dist = tab.dist.astype(np.int64)
+        bnd = tab.bnd.astype(np.int64)
+        assert (dist[:, None, :] <= dist[:, :, None] + dist[None]).all()
+        assert (bnd[:, None] <= dist + bnd[None, :]).all()
+        k = bnd.size
+        assert tab.shadow.shape == (k, -(-k // 8), 256)
+        if d > 7:
+            continue
+        sets = shadow_sets(dist, bnd)
+        want = np.zeros(tab.shadow.shape, dtype=np.uint64)
+        for u in range(k):
+            for j in range(want.shape[1]):
+                for b in range(1, 256):
+                    low = (b & -b).bit_length() - 1
+                    w = 8 * j + low
+                    want[u, j, b] = want[u, j, b & (b - 1)] | (sets[u][w] if w < k else 0)
+        assert (tab.shadow == want).all(), d
+
+
+def test_shadow_pruning_halves_the_d9_subsets():
+    """On a seeded d=9 batch the pruned DP reaches at most half the subsets
+    of the DP with an empty shadow table, and every subset it reaches has
+    the same value in both."""
+    import dataclasses
+
+    from scdec.mwpm import _levels, _popcount, _split_components
+
+    _, syn = _sampled_syndromes(9, 0.2, 300)
+    for tab, keys in _sector_keys(9, syn):
+        _, comps = _split_components(np.unique(keys), tab.or_tab)
+        comps = np.unique(comps)
+        n = _popcount(comps, tab.pop8)
+        comps = comps[(n > 1) & (n <= MATCH_DP_MAX)]
+        full = dataclasses.replace(tab, shadow=np.zeros_like(tab.shadow))
+        pruned, every = _levels(tab, comps), _levels(full, comps)
+        assert 2 * sum(s.size for s, _ in pruned) <= sum(s.size for s, _ in every)
+        for (subs, vals), (all_subs, all_vals) in zip(pruned, every):
+            at = np.searchsorted(all_subs, subs)
+            assert (all_subs[at] == subs).all()
+            assert (all_vals[at] == vals).all()
 
 
 def test_batch_component_split_equals_bitmask_bfs_and_union_find():
