@@ -571,10 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc mallopt parameters, and the one value both are set to: 32 MiB is
-# the largest mmap threshold glibc accepts.
+# glibc mallopt parameters, and the one value both thresholds are set to:
+# 32 MiB is the largest mmap threshold glibc accepts.
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
+M_ARENA_MAX = -8
 HEAP_KEEP_BYTES = 32 << 20
 
 
@@ -586,7 +587,9 @@ def _keep_freed_heap() -> None:
     trim threshold is free, so the next batch faults the same pages in again.
     Here blocks below 32 MiB come from the heap, and the heap keeps up to
     32 MiB of free top, so a batch reuses resident pages.  Setting either
-    parameter turns off glibc's dynamic thresholds, so both are set.  Only
+    parameter turns off glibc's dynamic thresholds, so both are set.  The
+    worker threads of :mod:`scdec._threads` would each get an arena of their
+    own, outside this policy; one arena keeps them on the main heap.  Only
     :func:`main` calls this: importing scdec leaves the allocator alone.  A
     libc without ``mallopt`` is left as it is.
     """
@@ -598,6 +601,7 @@ def _keep_freed_heap() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, HEAP_KEEP_BYTES)
     mallopt(M_TRIM_THRESHOLD, HEAP_KEEP_BYTES)
+    mallopt(M_ARENA_MAX, 1)
 
 
 def main(argv=None) -> int:

@@ -19,11 +19,12 @@ with pseudo-threshold ``p_th``, slope ``s`` and flattening ``c``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Protocol
 
 import numpy as np
 
-from . import ped
+from . import _threads, ped
 from ._fileio import atomic_write
 from .lattice import Layout
 from .mwpm import MwpmDecoder
@@ -35,7 +36,8 @@ from .train import target_bits
 # two-sided 99.9% normal quantile, used for all confidence intervals
 Z999 = 3.2905267314919255
 
-_CHUNK = 1 << 16
+# Most shots in one shard of ``benchmark``
+_CHUNK = 1 << 14
 
 # Header of a curve CSV (write_points_csv)
 CURVE_COLUMNS = ("distance", "decoder", "eps_p", "eps_l", "shots", "variance")
@@ -156,25 +158,33 @@ def benchmark(decoder, layout: Layout, eps_list, shots: int, seed: int):
 
     A shot fails when the predicted class differs from the true logical
     difference in either bit.  Shot ``k`` of point ``i`` is drawn from
-    stream ``EVAL_STREAM_BASE + i``, so results are independent of chunking.
+    stream ``EVAL_STREAM_BASE + i``, so results are independent of how the
+    shots are split: each point runs in shards of at most ``_CHUNK`` shots
+    on the worker threads of :func:`scdec._threads.pool`, and its failure
+    counts are summed in shard order.
     """
     eps_list = check_settings(eps_list, shots)
-    points = []
-    for i, eps in enumerate(eps_list):
-        failures = 0
-        done = 0
-        stream = EVAL_STREAM_BASE + i
-        while done < shots:
-            n = min(_CHUNK, shots - done)
-            x, z = sample_depolarizing_bits(layout, eps, seed, stream, done, n)
-            syn = compute_syndrome_bits(layout, x, z)
-            tx, tz = target_bits(layout, x, z, syn)
-            pred = decoder.predict(syn)
-            bad = (pred[:, 0] != tx) | (pred[:, 1] != tz)
-            failures += int(np.count_nonzero(bad))
-            done += n
-        points.append(BenchmarkPoint.from_counts(eps, failures, shots))
-    return points
+    shards = ((i, shot0, min(_CHUNK, shots - shot0))
+              for i in range(len(eps_list)) for shot0 in range(0, shots, _CHUNK))
+    failures = [0] * len(eps_list)
+    count = partial(_shard_failures, decoder, layout, eps_list, seed)
+    with _threads.pool() as ex:
+        for i, bad in ex.map(count, shards):
+            failures[i] += bad
+    return [BenchmarkPoint.from_counts(eps, f, shots)
+            for eps, f in zip(eps_list, failures)]
+
+
+def _shard_failures(decoder, layout: Layout, eps_list, seed: int, shard):
+    """``(i, failures)`` among the ``n`` shots from ``shot0`` of point ``i``,
+    where ``shard`` is ``(i, shot0, n)``."""
+    i, shot0, n = shard
+    x, z = sample_depolarizing_bits(layout, eps_list[i], seed,
+                                    EVAL_STREAM_BASE + i, shot0, n)
+    syn = compute_syndrome_bits(layout, x, z)
+    tx, tz = target_bits(layout, x, z, syn)
+    pred = decoder.predict(syn)
+    return i, int(np.count_nonzero((pred[:, 0] != tx) | (pred[:, 1] != tz)))
 
 
 def pseudo_threshold(points):

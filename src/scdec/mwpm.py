@@ -201,9 +201,10 @@ def _or_table(keys: np.ndarray, byte_bits: np.ndarray) -> np.ndarray:
 # bound is loose: on 1,000 d=9 shots at eps=0.3 one unsliced DP peaked at
 # 72 MiB RSS, against 57 MiB in slices (415 against 78 MiB before the
 # skipping).  Peak RSS of whole ``scdec eval --decoder mwpm`` runs (2-vCPU
-# x86-64 host, CPython 3.11, numpy 2.4, 65,536-shot chunks): 69 MiB for the
-# default d=9 grid at 3,000 shots, 86 MiB for 8,000 d=9 shots at eps=0.3,
-# 90 MiB for 200,000 d=9 shots at eps=0.1 and 93 MiB for 100,000 d=11
+# x86-64 host, CPython 3.11, numpy 2.4, 16,384-shot shards on two worker
+# threads, so up to two DPs live at once): 71 MiB for the default d=9 grid
+# at 3,000 shots, 82 MiB for 8,000 d=9 shots at eps=0.3 (one shard, one
+# DP), 73 MiB for 200,000 d=9 shots at eps=0.1 and 78 MiB for 100,000 d=11
 # shots at eps=0.05.
 _SLICE_SUBSETS = 1 << 18
 

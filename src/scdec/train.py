@@ -18,11 +18,12 @@ expansion keeps the sharing equalities exact after every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import ped
+from . import _threads, ped
 from .lattice import Layout, cut_parities
 from .nn.config import BaseWeights, NetworkConfig, Weights
 from .nn.forward import forward_acts, transfer_deriv
@@ -189,6 +190,16 @@ def init_weights(cfg: NetworkConfig, seed: int):
     return cls(**arrays)
 
 
+def _batch_inputs(layout: Layout, p: float, seed: int, batch: int, b: int):
+    """Float network input ``x`` and +/-1 targets ``t`` of batch ``batch``."""
+    x_bits, z_bits = sample_depolarizing_bits(
+        layout, p, seed, TRAIN_STREAM, batch * b, b)
+    syn = compute_syndrome_bits(layout, x_bits, z_bits)
+    tx, tz = target_bits(layout, x_bits, z_bits, syn)
+    t = np.stack([tx, tz], axis=1).astype(np.float64) * 2.0 - 1.0
+    return syn.astype(np.float64), t
+
+
 def train_loop(train_cfg: TrainConfig, net_cfg: NetworkConfig, layout: Layout,
                iteration_cb: Optional[Callable] = None):
     """Train a network with freshly sampled data every batch.
@@ -197,6 +208,10 @@ def train_loop(train_cfg: TrainConfig, net_cfg: NetworkConfig, layout: Layout,
     rotated configs and ``history`` one dict per logged iteration with keys
     iteration, batches, samples, ler, loss.  ``iteration_cb(weights, row)``
     runs after each logged iteration (checkpointing hook).
+
+    On the worker threads of :func:`scdec._threads.pool`, batch ``k + 1``
+    is sampled while batch ``k``'s ADAM step runs; logging and
+    ``iteration_cb`` run between steps.
     """
     if net_cfg.d != layout.d:
         raise ValueError("network and layout distances differ")
@@ -204,19 +219,11 @@ def train_loop(train_cfg: TrainConfig, net_cfg: NetworkConfig, layout: Layout,
     weights = init_weights(net_cfg, train_cfg.seed)
     state = AdamState.init(weights)
     history = []
+    b = train_cfg.batch_size
+    n_batches = train_cfg.n_batches
 
-    it_fail = 0
-    it_shots = 0
-    it_loss = 0.0
-    for batch in range(train_cfg.n_batches):
-        b = train_cfg.batch_size
-        x_bits, z_bits = sample_depolarizing_bits(
-            layout, p, train_cfg.seed, TRAIN_STREAM, batch * b, b)
-        syn = compute_syndrome_bits(layout, x_bits, z_bits)
-        tx, tz = target_bits(layout, x_bits, z_bits, syn)
-        t = np.stack([tx, tz], axis=1).astype(np.float64) * 2.0 - 1.0
-        x = syn.astype(np.float64)
-
+    def step(batch, x, t):
+        """ADAM step on one batch; returns its loss and failed shots."""
         value, grads, out = loss_and_gradients(
             net_cfg, weights, x, t, train_cfg.reg_scale, train_cfg.reg_bits)
         if not np.isfinite(value):
@@ -225,24 +232,35 @@ def train_loop(train_cfg: TrainConfig, net_cfg: NetworkConfig, layout: Layout,
                 f"(lr={train_cfg.lr}, reg_scale={train_cfg.reg_scale})")
         adam_step(state, weights, grads, train_cfg.lr,
                   train_cfg.beta1, train_cfg.beta2, train_cfg.eps)
+        return value, int(np.sum(np.any((out > 0.0) != (t > 0.0), axis=1)))
 
-        pred = out > 0.0
-        it_fail += int(np.sum(np.any(pred != (t > 0.0), axis=1)))
-        it_shots += b
-        it_loss += value
+    it_fail = 0
+    it_shots = 0
+    it_loss = 0.0
+    with _threads.pool() as ex:
+        inputs = partial(_batch_inputs, layout, p, train_cfg.seed, b=b)
+        nxt = ex.submit(inputs, 0) if n_batches else None
+        for batch in range(n_batches):
+            x, t = nxt.result()
+            if batch + 1 < n_batches:
+                nxt = ex.submit(inputs, batch + 1)
+            value, fails = ex.submit(step, batch, x, t).result()
+            it_fail += fails
+            it_shots += b
+            it_loss += value
 
-        if (batch + 1) % train_cfg.log_every == 0 or batch + 1 == train_cfg.n_batches:
-            row = {
-                "iteration": len(history) + 1,
-                "batches": batch + 1,
-                "samples": (batch + 1) * b,
-                "ler": it_fail / it_shots,
-                "loss": it_loss / (it_shots / b),
-            }
-            history.append(row)
-            if iteration_cb is not None:
-                iteration_cb(weights, row)
-            it_fail = 0
-            it_shots = 0
-            it_loss = 0.0
+            if (batch + 1) % train_cfg.log_every == 0 or batch + 1 == n_batches:
+                row = {
+                    "iteration": len(history) + 1,
+                    "batches": batch + 1,
+                    "samples": (batch + 1) * b,
+                    "ler": it_fail / it_shots,
+                    "loss": it_loss / (it_shots / b),
+                }
+                history.append(row)
+                if iteration_cb is not None:
+                    iteration_cb(weights, row)
+                it_fail = 0
+                it_shots = 0
+                it_loss = 0.0
     return weights, history

@@ -197,6 +197,32 @@ def subset_dp_matching(dist, bnd):
     return pair
 
 
+def parity_set_dp(dist, bnd, pair_parity, bnd_parity):
+    """Minimum weight and the set of cut parities reached at it, for every
+    subset of the ``k`` defects, over every matching without pruning.
+
+    ``pair_parity[u][v]`` and ``bnd_parity[u]`` are the cut parities of the
+    path u - v and of u's boundary route.  Returns two lists indexed by the
+    subset's bit mask: the weights and frozensets of parities.
+    """
+    k = len(bnd)
+    weight = [0] * (1 << k)
+    parities = [frozenset((0,))] * (1 << k)
+    for mask in range(1, 1 << k):
+        u = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << u)
+        options = [(int(bnd[u]) + weight[rest], bnd_parity[u], rest)]
+        for v in range(u + 1, k):
+            if rest >> v & 1:
+                sub = rest ^ (1 << v)
+                options.append((int(dist[u][v]) + weight[sub], pair_parity[u][v], sub))
+        best = min(w for w, _, _ in options)
+        weight[mask] = best
+        parities[mask] = frozenset(p ^ q for w, p, sub in options if w == best
+                                   for q in parities[sub])
+    return weight, parities
+
+
 def union_find_components(defects, dist, bnd):
     """Sorted defect groups joined wherever ``dist[u][v] < bnd[u] + bnd[v]``,
     ordered by their lowest defect."""

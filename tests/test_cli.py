@@ -221,7 +221,7 @@ def test_keep_freed_heap_sets_mmap_and_trim_thresholds(monkeypatch):
 
     monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
     scdec.cli._keep_freed_heap()
-    assert calls == [(-3, 32 << 20), (-1, 32 << 20)]
+    assert calls == [(-3, 32 << 20), (-1, 32 << 20), (-8, 1)]
 
 
 def _no_libc(name):
@@ -250,6 +250,26 @@ def test_importing_the_cli_leaves_the_allocator_alone():
         print("mallopt" in looked_up)
     """)
     assert out == "False"
+
+
+def test_importing_the_cli_starts_no_thread_and_reads_no_maps():
+    """The BLAS lookup behind the worker count waits for the first pool."""
+    out = run_python("""
+        import builtins, threading
+        opened = []
+        real_open = builtins.open
+
+        def spy(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        builtins.open = spy
+        import scdec.cli
+        print(threading.active_count(), "/proc/self/maps" in opened)
+        scdec._threads.workers()
+        print("/proc/self/maps" in opened)
+    """)
+    assert out.split() == ["1", "False", "True"]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")

@@ -1,18 +1,27 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import scdec.eval as eval_mod
+from scdec import _threads, ped, train
+from scdec.cli import main
 from scdec.lattice import build_layout
-from scdec.noise import compute_syndrome_bits
-from scdec import ped
+from scdec.nn import NetworkConfig, QuantSpec
+from scdec.noise import EVAL_STREAM_BASE, compute_syndrome_bits, sample_depolarizing_bits
 from scdec.eval import (
     BenchmarkPoint,
     FitResult,
+    MwpmBenchmarkDecoder,
     NoCrossing,
     TrivialDecoder,
     benchmark,
     default_eps_grid,
     fit_model,
     model_eps_l,
+    nn_decoder,
     pseudo_threshold,
     read_points_csv,
     write_points_csv,
@@ -83,6 +92,118 @@ def test_failure_counting_is_xz_symmetric():
             fail = np.any(pred != truth)
             fail_swapped = np.any(pred[::-1] != truth[::-1])
             assert fail == fail_swapped
+
+
+# ------------------------------------------------------ sharded benchmark --
+
+# 17,500 shots: an uneven last shard at both 2^14 and 1,000 shots a shard
+_SHOTS = 17_500
+_EPS = [0.04, 0.08, 0.12]
+
+
+def _curve_cases():
+    """(name, decoder, layout) of every decoder kind ``scdec eval`` runs."""
+    cfg = NetworkConfig(d=5, n1=16, n2=4, transfer="sqnl", rotated=True)
+    weights = train.init_weights(cfg, 3)
+    lay5, lay7 = build_layout(5), build_layout(7)
+    return [("trivial", TrivialDecoder(), lay5),
+            ("mwpm-d5", MwpmBenchmarkDecoder(lay5), lay5),
+            ("mwpm-d7", MwpmBenchmarkDecoder(lay7), lay7),
+            ("nn-fixed", nn_decoder(cfg, weights, QuantSpec(5)), lay5),
+            ("nn-float", nn_decoder(cfg, weights), lay5)]
+
+
+def _csv_bytes(path, points, layout, name) -> bytes:
+    write_points_csv(path, points, distance=layout.d, decoder=name)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def serial_curves(tmp_path_factory):
+    """Curve CSV bytes of each case, every point sampled and decoded as one
+    batch on the calling thread."""
+    path = tmp_path_factory.mktemp("serial") / "curve.csv"
+    out = {}
+    for name, decoder, layout in _curve_cases():
+        points = []
+        for i, eps in enumerate(_EPS):
+            x, z = sample_depolarizing_bits(layout, eps, 9, EVAL_STREAM_BASE + i, 0, _SHOTS)
+            syn = compute_syndrome_bits(layout, x, z)
+            tx, tz = train.target_bits(layout, x, z, syn)
+            pred = decoder.predict(syn)
+            bad = np.count_nonzero((pred[:, 0] != tx) | (pred[:, 1] != tz))
+            points.append(BenchmarkPoint.from_counts(eps, int(bad), _SHOTS))
+        out[name] = _csv_bytes(path, points, layout, name)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1 << 14, 1000])
+@pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
+def test_curves_do_not_depend_on_workers_or_shards(monkeypatch, tmp_path, serial_curves,
+                                                   n_workers, chunk):
+    """8 workers is more threads than this host has CPUs; a short switch
+    interval interleaves the workers' bytecode as finely as it can."""
+    monkeypatch.setattr(_threads, "workers", lambda: n_workers)
+    monkeypatch.setattr(eval_mod, "_CHUNK", chunk)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for name, decoder, layout in _curve_cases():
+            points = benchmark(decoder, layout, _EPS, _SHOTS, seed=9)
+            assert (_csv_bytes(tmp_path / "curve.csv", points, layout, name)
+                    == serial_curves[name])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _SecondShardFails(TrivialDecoder):
+    """Raises on shard 1 of point 0 (``_CHUNK`` = 1,000); every other shard
+    takes 50 ms, so a run that does not stop takes seconds."""
+
+    def __init__(self, monkeypatch):
+        self.shard = threading.local()
+        self.started = []       # (stream, shot0, started after the raise)
+        self.raised = False
+        sample = eval_mod.sample_depolarizing_bits
+
+        def recording_sample(layout, eps, seed, stream, shot0, n):
+            self.started.append((stream, shot0, self.raised))
+            self.shard.key = (stream, shot0)
+            return sample(layout, eps, seed, stream, shot0, n)
+
+        monkeypatch.setattr(eval_mod, "sample_depolarizing_bits", recording_sample)
+        monkeypatch.setattr(eval_mod, "_CHUNK", 1000)
+
+    def predict(self, syn):
+        if self.shard.key == (EVAL_STREAM_BASE, 1000):
+            self.raised = True
+            raise ValueError("shard 1 failed")
+        time.sleep(0.05)
+        return super().predict(syn)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_a_failing_shard_stops_the_benchmark(monkeypatch, n_workers):
+    monkeypatch.setattr(_threads, "workers", lambda: n_workers)
+    decoder = _SecondShardFails(monkeypatch)
+    threads = threading.active_count()
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="shard 1 failed"):
+        benchmark(decoder, build_layout(3), [0.1] * 4, 100_000, seed=0)
+    assert time.perf_counter() - t0 < 3.0      # 400 shards would take 10 s or more
+    assert (EVAL_STREAM_BASE, 1000, False) in decoder.started
+    assert [s for s in decoder.started if s[2]] == []
+    assert threading.active_count() == threads     # the pool's threads are joined
+
+
+def test_eval_exits_3_when_a_shard_raises(monkeypatch, tmp_path, capsys):
+    decoder = _SecondShardFails(monkeypatch)
+    monkeypatch.setattr(eval_mod, "TrivialDecoder", lambda: decoder)
+    out = tmp_path / "curve.csv"
+    code = main(["eval", "--decoder", "trivial", "-d", "3", "--set", "shots=100000",
+                 "--out", str(out)])
+    assert code == 3 and "shard 1 failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------ pseudo-threshold --

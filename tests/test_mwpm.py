@@ -11,6 +11,7 @@ from scdec._kernels import MATCH_DP_MAX, match_defects, python_backend
 from oracles import (
     brute_force_boundary_matching,
     match_weight,
+    parity_set_dp,
     random_shortest_path_metric,
     shadow_sets,
     subset_dp_matching,
@@ -386,6 +387,25 @@ def test_path_weights_have_the_parity_of_their_masks(d):
         off = ~np.eye(tab.bnd.size, dtype=bool)
         assert ((tab.dist - pop)[off] % 2 == 0).all()
         assert [int(w) % 2 for w in tab.bnd] == [m.bit_count() % 2 for m in tab.bnd_mask]
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_every_key_reaches_one_cut_parity_at_minimum_weight(d):
+    """Exhaustive over every defect subset of both sectors (2^4 keys at d=3,
+    2^12 at d=5): all minimum-weight matchings of a key agree on its cut
+    parity, and the batch DP returns that parity."""
+    from scdec.mwpm import _parities, _tables
+
+    for tab in _tables(d):
+        k = tab.bnd.size
+        cut = tab.cut_mask
+        pair_parity = [[(m & cut).bit_count() & 1 for m in row] for row in tab.path_mask]
+        bnd_parity = [(m & cut).bit_count() & 1 for m in tab.bnd_mask]
+        _, parities = parity_set_dp(tab.dist.tolist(), tab.bnd.tolist(),
+                                    pair_parity, bnd_parity)
+        assert len(parities) == 1 << k and all(len(p) == 1 for p in parities)
+        keys = np.arange(1 << k, dtype=np.uint64)
+        assert _parities(tab, keys).tolist() == [min(p) for p in parities]
 
 
 def _sector_keys(d, syn):

@@ -3,7 +3,7 @@ import pytest
 
 from scdec.lattice import build_layout
 from scdec.nn import NetworkConfig, expand_rotated
-from scdec.noise import compute_syndrome_bits, sample_depolarizing_bits
+from scdec.noise import TRAIN_STREAM, compute_syndrome_bits, sample_depolarizing_bits
 from scdec import ped
 from scdec.train import (
     MWPM_PTH,
@@ -295,10 +295,59 @@ def test_sqnl_nan_weight_diverges(monkeypatch):
         train_loop(TrainConfig(n_batches=3, batch_size=64), cfg, lay)
 
 
-def test_divergence_detection():
+def test_divergence_detection(monkeypatch):
+    import scdec.train as train_mod
+
     lay = build_layout(3)
     cfg = NetworkConfig(d=3, n1=8, n2=4, transfer="relu", rotated=False)
     # an absurd regularization scale overflows the loss immediately
     tc = TrainConfig(n_batches=10, batch_size=64, reg_scale=1e308, seed=0)
-    with pytest.raises(TrainingDiverged):
+    with pytest.raises(TrainingDiverged, match=r"at batch 0 "):
         train_loop(tc, cfg, lay)
+
+    # a loss that turns non-finite later is reported at its own batch, the
+    # one whose inputs were sampled while the step before it ran
+    calls = []
+
+    def nan_at_fourth(*args, **kwargs):
+        value, grads, out = loss_and_gradients(*args, **kwargs)
+        calls.append(value)
+        return (np.nan if len(calls) == 4 else value), grads, out
+
+    monkeypatch.setattr(train_mod, "loss_and_gradients", nan_at_fourth)
+    tc = TrainConfig(n_batches=10, batch_size=64, seed=0)
+    with pytest.raises(TrainingDiverged, match=r"non-finite loss nan at batch 3 "):
+        train_loop(tc, cfg, lay)
+    assert len(calls) == 4
+
+
+def test_iteration_callback_sees_the_weights_of_its_batch_count():
+    """Each logged row's callback sees the weights after exactly
+    ``row["batches"]`` ADAM steps, never a step of the batch sampled ahead."""
+    lay = build_layout(3)
+    cfg = NetworkConfig(d=3, n1=8, n2=4, transfer="sqnl", rotated=True)
+    tc = TrainConfig(n_batches=9, batch_size=128, seed=5, log_every=4)
+    seen = []
+
+    def snapshot(weights, row):
+        seen.append((row["batches"], _flatten(weights).copy()))
+
+    train_loop(tc, cfg, lay, iteration_cb=snapshot)
+    assert [b for b, _ in seen] == [4, 8, 9]
+
+    # serial replay of the same batches
+    p = tc.resolved_p_train(3)
+    weights = init_weights(cfg, tc.seed)
+    state = AdamState.init(weights)
+    expected = {}
+    for batch in range(tc.n_batches):
+        xb, zb = sample_depolarizing_bits(lay, p, tc.seed, TRAIN_STREAM,
+                                          batch * tc.batch_size, tc.batch_size)
+        syn = compute_syndrome_bits(lay, xb, zb)
+        tx, tz = target_bits(lay, xb, zb, syn)
+        t = np.stack([tx, tz], axis=1).astype(np.float64) * 2.0 - 1.0
+        _, grads, _ = loss_and_gradients(cfg, weights, syn.astype(np.float64), t)
+        adam_step(state, weights, grads, tc.lr, tc.beta1, tc.beta2, tc.eps)
+        expected[batch + 1] = _flatten(weights).copy()
+    for batches, flat in seen:
+        assert np.array_equal(flat, expected[batches])
