@@ -430,7 +430,7 @@ def cmd_sweep(args) -> int:
     train_cfgs = {rb: _train_config({**cfg, "reg_bits": rb}) for rb in cfg["reg_bits"]}
     for tc in train_cfgs.values():
         tc.resolved_p_train(layout.d)
-    eval_mod.check_settings(_eps_grid(cfg), cfg["shots"])
+    eval_mod.check_settings(_eps_grid(cfg), cfg["shots"], seed)
 
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     lines = [f"# {provenance(parsed, seed)}", _SWEEP_COLUMNS]

@@ -139,14 +139,17 @@ def default_eps_grid(n_points: int = 10, lo: float = 0.03, hi: float = 0.3):
     return [float(e) for e in np.geomspace(lo, hi, n_points)]
 
 
-def check_settings(eps_list, shots: int) -> list:
+def check_settings(eps_list, shots: int, seed: int) -> list:
     """``eps_list`` as floats, after checking that it is a nonempty list of
-    probabilities and that ``shots`` is positive."""
+    probabilities, that ``shots`` is positive and that ``seed`` fits the
+    64-bit Philox key."""
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise ValueError("eps_list must not be empty")
     if shots <= 0:
         raise ValueError("shots must be positive")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     for eps in eps_list:
         if not 0.0 <= eps <= 1.0:
             raise ValueError(f"physical error rate must be in [0, 1], got {eps}")
@@ -163,7 +166,7 @@ def benchmark(decoder, layout: Layout, eps_list, shots: int, seed: int):
     on the worker threads of :func:`scdec._threads.pool`, and its failure
     counts are summed in shard order.
     """
-    eps_list = check_settings(eps_list, shots)
+    eps_list = check_settings(eps_list, shots, seed)
     shards = ((i, shot0, min(_CHUNK, shots - shot0))
               for i in range(len(eps_list)) for shot0 in range(0, shots, _CHUNK))
     failures = [0] * len(eps_list)

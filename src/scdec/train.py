@@ -74,6 +74,8 @@ class TrainConfig:
             raise ValueError("reg_bits must be in 2..8")
         if self.p_train is not None and not 0.0 <= self.p_train <= 1.0:
             raise ValueError(f"p_train must be in [0, 1], got {self.p_train}")
+        if not 0 <= self.seed < 1 << 64:     # the Philox key holds 64 bits
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
     def resolved_p_train(self, d: int) -> float:
         if self.p_train is not None:

@@ -356,3 +356,19 @@ def pauli_bits_scalar(n_data, p, seed, stream, shot0, n_shots):
                 x[i, q] = u < 2 * thr // 3
                 z[i, q] = u >= thr // 3
     return x, z
+
+
+def syndrome_dense(x_bits, z_bits, hx, hz):
+    """Syndromes as dense GF(2) sums, one shot and one check at a time:
+    rows of ``hx`` read the z-plane, rows of ``hz`` the x-plane (X-check
+    bits first), and only the low bit of every entry counts.  Returns uint8
+    (n, len(hx) + len(hz))."""
+    def low(rows):
+        return [[int(v) & 1 for v in row] for row in rows]
+
+    xs, zs = low(np.atleast_2d(x_bits)), low(np.atleast_2d(z_bits))
+    checks = [(row, True) for row in low(hx)] + [(row, False) for row in low(hz)]
+    out = [[sum(h * e for h, e in zip(row, zrow if reads_z else xrow)) % 2
+            for row, reads_z in checks]
+           for xrow, zrow in zip(xs, zs)]
+    return np.array(out, dtype=np.uint8).reshape(len(xs), len(checks))

@@ -149,6 +149,18 @@ def test_setting_out_of_range_is_exit_3(tmp_path, capsys, no_sampling, cmd, sett
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [2 ** 64, -1])
+@pytest.mark.parametrize("cmd", sorted(_CONFIG_ARGV))
+def test_seed_outside_64_bits_is_exit_3(tmp_path, capsys, no_sampling, cmd, seed):
+    """The Philox key holds 64 bits of seed, so 2^64 would replay seed 0 and
+    -1 seed 2^64 - 1; both exit 3 and write nothing, before any shot."""
+    out = tmp_path / "out"
+    code, _, err = run(_CONFIG_ARGV[cmd] + ["--set", f"seed={seed}", "--out", str(out)],
+                       capsys)
+    assert code == 3 and "seed must be in [0, 2^64)" in err
+    assert not out.exists()
+
+
 def test_int_keys_take_integral_values_only():
     cfg = resolve_config({"shots": parse_config_text("shots = 1e5")["shots"], "n1": 8.0})
     assert cfg["shots"] == 100_000 and type(cfg["shots"]) is int

@@ -94,6 +94,85 @@ def test_sampling_across_passes(compiled, p, shot0):
             assert u.dtype == np.uint8 and np.array_equal(u, v)
 
 
+@pytest.mark.parametrize("n_data", (1, 9, 25, 81, 121))
+def test_sampling_edge_cases(compiled, n_data):
+    """Shot counts around a byte and a word of shots, none at all, and more
+    than one pass; one qubit up to d=11's 121; p = 0 and p = 1.  From
+    ``2^32 - 3`` the high word of the shot counter changes inside the first
+    pass.  Shot ``i`` does not depend on how many follow it, so each count
+    is checked against a prefix of one oracle run."""
+    seed, stream, shot0 = 2 ** 33 + 5, 21, 2 ** 32 - 3
+    counts = (0, 1, 7, 8, 9, 63, 64, 65, 5000)
+    for p in (0.0, 1.0):
+        want = pauli_bits_scalar(n_data, p, seed, stream, shot0, max(counts))
+        for n in counts:
+            for impl in (pk.sample_pauli_bits, compiled.sample_pauli_bits):
+                got = impl(n_data, p, seed, stream, shot0, n)
+                for u, v in zip(got, want):
+                    assert u.dtype == np.uint8 and u.shape == (n, n_data), (p, n)
+                    assert np.array_equal(u, v[:n]), (p, n)
+
+
+@pytest.mark.parametrize("n", (1, 63, 64, 65))
+def test_syndrome_bits_match_a_dense_gf2_oracle(compiled, n):
+    """Random check matrices with a zero-weight row, rows of weight above 4
+    and entries other than 0/1; bool, int16 and int64 planes, C-ordered and
+    transposed.  Only the low bit of an entry counts."""
+    from oracles import syndrome_dense
+
+    rng = np.random.default_rng(n)
+    for trial in range(6):
+        n_data = int(rng.integers(1, 40))
+        hx = rng.integers(0, 4, size=(int(rng.integers(1, 8)), n_data))
+        hx[0] = 0
+        hz = rng.integers(-3, 4, size=(int(rng.integers(0, 8)), n_data)).astype(np.int16)
+        hz[:, :6] = 1
+        planes = rng.integers(-3, 4, size=(2, n, n_data))
+        for dtype in (bool, np.int16, np.int64):
+            x, z = (planes & 1 if dtype is bool else planes).astype(dtype)
+            want = syndrome_dense(x, z, hx, hz)
+            for xo, zo in ((x, z), (x.T.copy().T, z.T.copy().T)):
+                for impl in (pk.syndrome_bits, compiled.syndrome_bits):
+                    got = impl(xo, zo, hx, hz)
+                    assert got.dtype == np.uint8 and got.shape == want.shape
+                    assert np.array_equal(got, want), (trial, dtype, impl)
+
+
+def test_transposed_planes_give_the_bytes_of_contiguous_copies():
+    """The numpy sampler and syndrome kernel return transposed views of
+    qubit- and ancilla-major arrays.  Every consumer gives the same bytes
+    for them as for C-ordered copies, the float64 loss and gradients of
+    training included."""
+    from scdec import lattice, ped, train
+    from scdec.mwpm import MwpmDecoder
+    from scdec.nn import (NetworkConfig, QuantSpec, expand_rotated, forward_float_batch,
+                          quantize_weights)
+
+    lay = build_layout(5)
+    x, z = pk.sample_pauli_bits(lay.n_data, 0.12, 77, 3, 0, 3000)
+    syn = pk.syndrome_bits(x, z, lay.hx, lay.hz)
+    assert not (x.flags.c_contiguous or z.flags.c_contiguous or syn.flags.c_contiguous)
+    cfg = NetworkConfig(5, 16, 4, "sqnl", True)
+    weights = train.init_weights(cfg, 4)
+    qw = quantize_weights(expand_rotated(cfg, weights), QuantSpec(5, False))
+    tx, tz = train.target_bits(lay, x, z, syn)
+    t = np.stack([tx, tz], axis=1).astype(np.float64) * 2.0 - 1.0
+    mwpm = MwpmDecoder(lay)
+
+    def outputs(x, z, syn):
+        value, grads, out = train.loss_and_gradients(cfg, weights, syn.astype(np.float64),
+                                                     t, 1.0, 8)
+        arrays = [*lattice.cut_parities(lay, x, z), *ped.decode_cut_parities(lay, syn),
+                  pk.fixed_forward_bits(syn, qw.w1, qw.b1, qw.w2, qw.b2, qw.wout, qw.bout,
+                                        qw.spec.wfrac, qw.spec.bits, pk.TRANSFER_SQNL),
+                  forward_float_batch(cfg, weights, syn), *mwpm.cut_parities_batch(syn),
+                  np.float64(value), out, *grads.arrays().values()]
+        return [np.asarray(a).tobytes() for a in arrays]
+
+    copies = [np.ascontiguousarray(a) for a in (x, z, syn)]
+    assert outputs(x, z, syn) == outputs(*copies)
+
+
 def test_syndrome_and_gf2_backends_identical(compiled):
     lay = build_layout(7)
     x, z = pk.sample_pauli_bits(49, 0.2, 3, 1, 0, 2000)
@@ -230,6 +309,45 @@ def test_fixed_forward_exact_at_the_widest_operands(extra):
                                         spec.wfrac, spec.bits, transfer)
             want = [fixed_forward_bigint(qw, row, spec.wfrac, spec.bits, name) for row in syn]
             assert got.tolist() == want, (i, name)
+
+
+def test_fixed_forward_switches_to_float64_at_2_to_24():
+    """A layer's sums run in float32 while its operand bound, terms x
+    largest operand x largest weight, stays below 2^24, and in float64 from
+    there.  The first set's first layer sits at 273 x 255 x 241 = 2^24 - 1;
+    the second set's second layer at 256 x 2^8 x 256 = 2^24, and its sums
+    reach that bound when the first layer saturates at -2^8.  Both give the
+    arbitrary-precision oracle's bits."""
+    from types import SimpleNamespace
+
+    from oracles import fixed_forward_bigint
+
+    rng = np.random.default_rng(13)
+    wfrac, abits = 8, 9
+    a_max = 1 << (abits - 1)
+
+    def weights(n_in, n1, n2, lim1, lim2):
+        return SimpleNamespace(
+            w1=rng.integers(-lim1, lim1 + 1, size=(n1, n_in)), b1=rng.integers(-9, 10, size=n1),
+            w2=rng.integers(-lim2, lim2 + 1, size=(n2, n1)), b2=rng.integers(-9, 10, size=n2),
+            wout=rng.integers(-64, 65, size=(2, n2)), bout=rng.integers(-9, 10, size=2))
+
+    wide_input = weights(273, 6, 5, 8, 64)
+    wide_input.w1[0, 0] = 241
+    wide_hidden = weights(8, 256, 5, 4, 64)
+    wide_hidden.w1[:] = -256
+    wide_hidden.w2[0] = -256
+    cases = [(wide_input, "w1", 255, np.float32), (wide_hidden, "w2", a_max, np.float64)]
+    for qw, name, operand, dtype in cases:
+        assert pk._exact_weights(getattr(qw, name), operand).dtype == dtype
+        n_in = qw.w1.shape[1]
+        syn = np.vstack([np.ones(n_in), np.zeros(n_in),
+                         rng.integers(0, 2, size=(30, n_in))]).astype(np.uint8)
+        for transfer, tname in ((pk.TRANSFER_SQNL, "sqnl"), (pk.TRANSFER_RELU, "relu")):
+            got = pk.fixed_forward_bits(syn, qw.w1, qw.b1, qw.w2, qw.b2, qw.wout, qw.bout,
+                                        wfrac, abits, transfer)
+            want = [fixed_forward_bigint(qw, row, wfrac, abits, tname) for row in syn]
+            assert got.tolist() == want, (name, tname)
 
 
 def test_fixed_forward_refuses_sums_beyond_float64():
