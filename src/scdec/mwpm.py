@@ -37,7 +37,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
 from .lattice import ANC_X, ANC_Z, Layout, build_layout
 from .noise import ErrorConfig, Syndrome
 
@@ -47,6 +46,10 @@ _INF = 10 ** 9
 # (d*d - 1) / 2 ancillas, so d = 11 (60 ancillas) is the widest that fits.
 _KEY_BITS = 64
 MAX_DISTANCE = 11
+
+# Largest component the subset DP takes; larger ones go to the blossom.  The
+# DP reaches at most F(k+2) subsets of k defects (Fibonacci), 46,368 at 22.
+MATCH_DP_MAX = 22
 
 
 class NoPerfectMatching(ValueError):
@@ -169,7 +172,7 @@ def _type_tables(dist: np.ndarray, bnd: np.ndarray, path_mask: list,
                & (ix[:, None, None] < ix[None, :, None])
                & (ix[None, :, None] < ix[None, None, :]))
     byte_bits = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)
-    fib = np.ones(_kernels.MATCH_DP_MAX + 2, dtype=np.int64)   # F(i + 1)
+    fib = np.ones(MATCH_DP_MAX + 2, dtype=np.int64)   # F(i + 1)
     for i in range(2, fib.size):
         fib[i] = fib[i - 1] + fib[i - 2]
     return _TypeTables(
@@ -219,12 +222,12 @@ def _parities(t: _TypeTables, keys: np.ndarray) -> np.ndarray:
     val = np.empty(uniq.size, dtype=np.int64)
     lone = n == 1               # a lone defect takes its boundary route
     val[lone] = t.single[_bit_index(uniq[lone])]
-    for i in np.flatnonzero(n > _kernels.MATCH_DP_MAX).tolist():
+    for i in np.flatnonzero(n > MATCH_DP_MAX).tolist():
         mask = _match_component(t, int(uniq[i]))
         val[i] = (mask & t.cut_mask).bit_count() & 1
     # DP components in ascending size, in slices whose reachable-subset
     # bounds sum to at most _SLICE_SUBSETS (one component at least)
-    order = np.flatnonzero(~lone & (n <= _kernels.MATCH_DP_MAX))
+    order = np.flatnonzero(~lone & (n <= MATCH_DP_MAX))
     order = order[np.argsort(n[order], kind="stable")]
     bound = np.cumsum(t.reach[n[order]])
     start = 0
@@ -324,13 +327,13 @@ def _corr_mask(t: _TypeTables, defect_key: int) -> int:
     _, comps = _split_components(np.array([defect_key], dtype=np.uint64),
                                  t.or_tab)
     n = _popcount(comps, t.pop8)
-    small = comps[(n > 1) & (n <= _kernels.MATCH_DP_MAX)]
+    small = comps[(n > 1) & (n <= MATCH_DP_MAX)]
     levels = _levels(t, small) if small.size else None
     mask = 0
     for comp, k in zip(comps.tolist(), n.tolist()):
         if k == 1:
             mask ^= t.bnd_mask[comp.bit_length() - 1]
-        elif k > _kernels.MATCH_DP_MAX:
+        elif k > MATCH_DP_MAX:
             mask ^= _match_component(t, comp)
         else:
             mask ^= _trace(t, levels, comp)
@@ -521,13 +524,17 @@ class MwpmDecoder:
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Rows of up to 64 bits packed into uint64 keys."""
+    """Rows of up to 64 bits packed into uint64 keys; any nonzero entry is 1.
+
+    Column j is ORed in at bit j, so the transposed views that the numpy
+    ``syndrome_bits`` returns are read one contiguous column at a time."""
     n = bits.shape[1]
     if n > _KEY_BITS:
         raise ValueError(f"defect pattern wider than {_KEY_BITS} bits")
-    octets = np.zeros((bits.shape[0], 8), dtype=np.uint8)
-    octets[:, :-(-n // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return octets.view("<u8")[:, 0].astype(np.uint64, copy=False)
+    keys = np.zeros(len(bits), dtype=np.uint64)
+    for j in range(n):
+        keys |= (bits[:, j] != 0).astype(np.uint64) << np.uint64(j)
+    return keys
 
 
 def decode_mwpm(layout: Layout, s: Syndrome) -> ErrorConfig:

@@ -10,6 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 
+# The batch DP's defect cap; ``match_defects`` refuses larger inputs.
+from scdec.mwpm import MATCH_DP_MAX
+
 
 def dense_forward(w, syn, transfer):
     """Hand-rolled forward pass with explicit loops (no matmul)."""
@@ -195,6 +198,83 @@ def subset_dp_matching(dist, bnd):
             pair[v] = u
             mask ^= 1 << v
     return pair
+
+
+def match_defects(dist: np.ndarray, bnd: np.ndarray) -> np.ndarray:
+    """Exact minimum-weight matching of defects with a boundary option.
+
+    ``dist[i, j]`` is the pairing weight and ``bnd[i]`` the cost of routing
+    defect ``i`` to the boundary.  Any subset of defects may be matched to
+    the boundary, so a solution exists for every defect count.  Returns an
+    int32 array ``pair`` with ``pair[i] = j`` for matched pairs and
+    ``pair[i] = -1`` for boundary-matched defects.
+
+    Tie-breaking is pinned: for the lowest-index unresolved defect the
+    boundary option is considered first, then partners in ascending index,
+    keeping the first option that strictly improves the total weight.
+
+    Top-down subset DP from the full set.  Each step removes the lowest
+    defect ``u``, alone or with one partner, so at most F(k+2) of the 2^k
+    subsets are reached (144 of 1,024 at k=10).  A partner ``v`` with
+    ``dist[u, v] >= bnd[u] + bnd[v]`` is never tried: the optimum over the
+    rest is at most ``bnd[v]`` plus the optimum without ``v``, so such a
+    pair never strictly beats the boundary option and skipping it changes
+    no choice.  ``k <= MATCH_DP_MAX`` is required.
+    """
+    dist = np.asarray(dist, dtype=np.int64)
+    bnd = np.asarray(bnd, dtype=np.int64)
+    k = len(bnd)
+    if k == 0:
+        return np.empty(0, dtype=np.int32)
+    if k > MATCH_DP_MAX:
+        raise ValueError(f"defect count {k} exceeds DP cap {MATCH_DP_MAX}")
+
+    bnd_l = bnd.tolist()
+    # partners[u]: (v, bit of v, weight) for each v > u that can beat the
+    # boundary option, in ascending v
+    partners = [
+        [(v, 1 << v, row[v]) for v in range(u + 1, k)
+         if row[v] < bnd_l[u] + bnd_l[v]]
+        for u, row in enumerate(dist.tolist())
+    ]
+    f = {0: 0}
+    # choice[mask]: -1 for boundary, else the partner of the lowest set bit
+    choice = {}
+
+    def solve(mask):
+        low = mask & -mask
+        u = low.bit_length() - 1
+        rest = mask ^ low
+        sub = f.get(rest)
+        if sub is None:
+            sub = solve(rest)
+        best = bnd_l[u] + sub
+        best_c = -1
+        for v, bit, w in partners[u]:
+            if rest & bit:
+                sub = f.get(rest ^ bit)
+                if sub is None:
+                    sub = solve(rest ^ bit)
+                if w + sub < best:
+                    best = w + sub
+                    best_c = v
+        f[mask] = best
+        choice[mask] = best_c
+        return best
+
+    mask = (1 << k) - 1
+    solve(mask)
+    pair = [-1] * k
+    while mask:
+        low = mask & -mask
+        v = choice[mask]
+        mask ^= low
+        if v >= 0:
+            u = low.bit_length() - 1
+            pair[u] = v
+            pair[v] = u
+            mask ^= 1 << v
+    return np.array(pair, dtype=np.int32)
 
 
 def parity_set_dp(dist, bnd, pair_parity, bnd_parity):

@@ -32,12 +32,12 @@ from scdec.eval import (
     model_eps_l,
     pseudo_threshold,
 )
-from scdec._kernels import match_defects
 from scdec.hwcost import KIND_HIDDEN, KIND_INPUT, KIND_OUTPUT, network_cost, node_cost, pareto_front
 from scdec.mwpm import _large_matching, decode_mwpm
 from scdec.train import TrainConfig, init_weights, loss_and_gradients, train_loop
 
-from oracles import brute_force_boundary_matching, fixed_forward_bigint, match_weight
+from oracles import (brute_force_boundary_matching, fixed_forward_bigint, match_defects,
+                     match_weight)
 
 
 def report(n, ok, detail):

@@ -180,10 +180,13 @@ def test_syndrome_and_gf2_backends_identical(compiled):
         pk.syndrome_bits(x, z, lay.hx, lay.hz),
         compiled.syndrome_bits(x, z, lay.hx, lay.hz),
     )
+    # the GF(2) product is numpy on both backends; it reads the compiled
+    # backend's C-ordered syndromes as an integer product would
     rng = np.random.default_rng(2)
     mat = rng.integers(0, 2, size=(48, 49), dtype=np.uint8)
-    syn = pk.syndrome_bits(x, z, lay.hx, lay.hz)
-    assert np.array_equal(pk.gf2_matmul(syn, mat), compiled.gf2_matmul(syn, mat))
+    syn = compiled.syndrome_bits(x, z, lay.hx, lay.hz)
+    assert np.array_equal(_kernels.gf2_matmul(syn, mat),
+                          (syn.astype(np.int64) @ mat) % 2)
 
 
 def test_bit_kernels_coerce_like_the_reference(compiled):
@@ -204,57 +207,73 @@ def test_bit_kernels_coerce_like_the_reference(compiled):
         want = pk.syndrome_bits(*args)
         got = compiled.syndrome_bits(*args)
         assert got.dtype == np.uint8 and np.array_equal(want, got)
-    syn = pk.syndrome_bits(x, z, lay.hx, lay.hz)
-    mat = np.random.default_rng(6).integers(0, 2, size=(24, 40)).astype(np.int64)
+
+
+def test_numpy_only_kernels_coerce_their_inputs():
+    """``gf2_matmul`` and ``fixed_forward_bits`` run in numpy on both
+    backends.  Bool, other integer dtypes, one-dimensional rows, column
+    slices, lists and entries other than 0/1 give the uint8 output of
+    canonical inputs (for GF(2), only the parity of an entry counts), and an
+    unknown transfer id raises."""
+    rng = np.random.default_rng(6)
+    syn = rng.integers(0, 2, size=(300, 24)).astype(np.uint8)
+    mat = rng.integers(0, 2, size=(24, 40)).astype(np.int64)
     for bits, m in ((syn, mat), (syn.astype(bool), mat[:, ::2]),
                     (syn[3], mat.astype(np.uint8)), (syn[:, ::1].astype(np.int16), mat.T.T),
                     (syn * 3 + (syn ^ 1) * 2, mat * 7)):
-        want = pk.gf2_matmul(bits, m)
-        got = compiled.gf2_matmul(bits, m)
+        want = (np.atleast_2d(bits).astype(np.int64) & 1) @ (m & 1) % 2
+        got = pk.gf2_matmul(bits, m)
         assert got.dtype == np.uint8 and np.array_equal(want, got)
-
-
-def _fixed_args(rng, n=100, n_in=24):
-    bits = int(rng.integers(3, 10))
-    wf = bits - 1 + int(rng.integers(0, 2))
-    n1, n2 = int(rng.integers(1, 16)), int(rng.integers(1, 16))
-    lim = 1 << wf
-    return (
-        rng.integers(0, 2, size=(n, n_in), dtype=np.uint8),
-        rng.integers(-lim, lim, size=(n1, n_in)).astype(np.int64),
-        rng.integers(-lim, lim, size=n1).astype(np.int64),
-        rng.integers(-lim, lim, size=(n2, n1)).astype(np.int64),
-        rng.integers(-lim, lim, size=n2).astype(np.int64),
-        rng.integers(-lim, lim, size=(2, n2)).astype(np.int64),
-        rng.integers(-lim, lim, size=2).astype(np.int64),
-    ), wf, bits
-
-
-def test_fixed_forward_backends_identical(compiled):
-    rng = np.random.default_rng(3)
-    for trial in range(60):
-        args, wf, bits = _fixed_args(rng)
-        for transfer in (0, 1):
-            assert np.array_equal(
-                pk.fixed_forward_bits(*args, wf, bits, transfer),
-                compiled.fixed_forward_bits(*args, wf, bits, transfer),
-            ), (trial, transfer)
-
-
-def test_fixed_forward_coerces_like_the_reference(compiled):
-    rng = np.random.default_rng(8)
-    (syn, w1, b1, w2, b2, wout, bout), wf, bits = _fixed_args(rng, n_in=30)
-    variants = [
-        (syn.astype(bool)[:, 3:27], w1[:, 3:27].astype(np.int32)),
-        (syn[0, :24], w1[:, :24].tolist()),
-    ]
-    for s, w in variants:
-        args = (s, w, b1.astype(np.int16), w2, b2, wout, bout, wf, bits, 0)
-        want = pk.fixed_forward_bits(*args)
-        got = compiled.fixed_forward_bits(*args)
-        assert got.dtype == np.uint8 and np.array_equal(want, got)
+    lim, wf, bits = 1 << 6, 6, 5
+    w1 = rng.integers(-lim, lim, size=(8, 30))
+    rest = (rng.integers(-lim, lim, size=8), rng.integers(-lim, lim, size=(4, 8)),
+            rng.integers(-lim, lim, size=4), rng.integers(-lim, lim, size=(2, 4)),
+            rng.integers(-lim, lim, size=2))
+    wide = rng.integers(0, 2, size=(100, 30)).astype(np.uint8)
+    for transfer in (pk.TRANSFER_SQNL, pk.TRANSFER_RELU):
+        want = pk.fixed_forward_bits(wide[:, 3:27].copy(), w1[:, 3:27].copy(), *rest,
+                                     wf, bits, transfer)
+        for s, w in ((wide.astype(bool)[:, 3:27], w1[:, 3:27].astype(np.int32)),
+                     (wide[0, 3:27], w1[:, 3:27].tolist())):
+            got = pk.fixed_forward_bits(s, w, *rest, wf, bits, transfer)
+            assert got.dtype == np.uint8 and np.array_equal(want[:len(got)], got)
     with pytest.raises(ValueError, match="transfer id 2"):
-        compiled.fixed_forward_bits(syn, w1, b1, w2, b2, wout, bout, wf, bits, 2)
+        pk.fixed_forward_bits(wide, w1, *rest, wf, bits, 2)
+
+
+_BINDINGS = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("scdec._kernels._cykernels", sys.argv[1])
+sys.modules[spec.name] = compiled = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compiled)
+from scdec import _kernels
+from scdec._kernels import _pykernels
+print(_kernels.BACKEND,
+      _kernels.gf2_matmul is _pykernels.gf2_matmul,
+      _kernels.fixed_forward_bits is _pykernels.fixed_forward_bits,
+      all(getattr(_kernels, n) is getattr(compiled, n)
+          for n in ("philox4x32", "sample_pauli_bits", "syndrome_bits")))
+"""
+
+
+def test_compiled_backend_holds_only_the_kernels_where_c_wins(compiled):
+    """The extension exports exactly Philox, sampling and syndromes.  Under
+    both ``SCDEC_BACKEND`` values, each in a fresh interpreter that can
+    import the extension, the GF(2) product and the fixed-point network are
+    the numpy functions, and the three compiled kernels are bound only under
+    ``cython``."""
+    import os
+    import subprocess
+    import sys
+
+    assert {n for n in dir(compiled) if not n.startswith("_")} == \
+        {"philox4x32", "sample_pauli_bits", "syndrome_bits"}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scdec.__file__)))
+    for backend, bound in (("python", "False"), ("cython", "True")):
+        env = dict(os.environ, SCDEC_BACKEND=backend, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _BINDINGS, compiled.__file__], env=env,
+                             check=True, capture_output=True, text=True).stdout.split()
+        assert out == [backend, "True", "True", bound]
 
 
 @pytest.mark.parametrize("n,k,m", [(5000, 257, 40), (3, 1 << 20, 2), (1, (1 << 22) + 1, 1)])
@@ -358,71 +377,6 @@ def test_fixed_forward_refuses_sums_beyond_float64():
                               zeros, np.ones((2, 3)), zeros[:2], 8, 9, 0)
 
 
-def test_match_defects_backends_identical(compiled):
-    rng = np.random.default_rng(4)
-    for trial in range(500):
-        k = int(rng.integers(0, 15))
-        d = rng.integers(1, 30, size=(k, k))
-        d = (d + d.T).astype(np.int64)
-        bnd = rng.integers(1, 30, size=k).astype(np.int64)
-        want = pk.match_defects(d, bnd)
-        got = compiled.match_defects(d, bnd)
-        assert got.dtype == np.int32 and np.array_equal(want, got), trial
-
-
-def test_match_defects_backends_identical_on_ties(compiled):
-    """Weights in 0..3 make ties common, so the pinned tie rule shows."""
-    rng = np.random.default_rng(11)
-    for k in range(17):
-        for trial in range(30):
-            d = rng.integers(0, 4, size=(k, k))
-            d = np.triu(d, 1) + np.triu(d, 1).T
-            bnd = rng.integers(0, 4, size=k)
-            assert np.array_equal(pk.match_defects(d, bnd),
-                                  compiled.match_defects(d, bnd)), (k, trial)
-
-
-@pytest.mark.parametrize("d,eps,shots", [(5, 0.1, 200), (5, 0.3, 200), (7, 0.1, 100),
-                                         (7, 0.3, 30), (9, 0.1, 1000), (9, 0.2, 150),
-                                         (9, 0.3, 50)])
-def test_match_defects_backends_identical_on_lattice_components(compiled, d, eps, shots):
-    """Identical pair arrays on every interaction component of up to
-    MATCH_DP_MAX defects of sampled syndromes, the 13-22-defect d=9 ones
-    included (larger components go to the blossom, not to this kernel)."""
-    from scdec.mwpm import _pack_bits, _split_components, _tables
-    from scdec.noise import compute_syndrome_bits, sample_depolarizing_bits
-
-    lay = build_layout(d)
-    xb, zb = sample_depolarizing_bits(lay, eps, 1, 5, 0, shots)
-    syn = compute_syndrome_bits(lay, xb, zb)
-    nx = lay.n_anc_x
-    sizes = []
-    for tab, cols in zip(_tables(d), (syn[:, :nx], syn[:, nx:])):
-        _, comps = _split_components(_pack_bits(cols), tab.or_tab)
-        for comp in comps.tolist():
-            idx = np.array([u for u in range(comp.bit_length()) if comp >> u & 1])
-            if len(idx) > _kernels.MATCH_DP_MAX:
-                continue
-            dist = tab.dist[np.ix_(idx, idx)]
-            bnd = tab.bnd[idx]
-            assert np.array_equal(pk.match_defects(dist, bnd),
-                                  compiled.match_defects(dist, bnd)), idx
-            sizes.append(len(idx))
-    if d == 9:
-        assert sum(k >= 13 for k in sizes) >= 50
-        assert eps < 0.2 or max(sizes) == _kernels.MATCH_DP_MAX
-
-
-def test_match_defects_rejects_oversized_input(compiled):
-    k = _kernels.MATCH_DP_MAX + 1
-    d = np.ones((k, k), dtype=np.int64)
-    bnd = np.ones(k, dtype=np.int64)
-    assert compiled.MATCH_DP_MAX == pk.MATCH_DP_MAX
-    for impl in (pk.match_defects, compiled.match_defects):
-        with pytest.raises(ValueError):
-            impl(d, bnd)
-
-
 def test_backend_reports_name():
     assert scdec.BACKEND in ("cython", "python")
 
@@ -453,8 +407,7 @@ def test_cli_outputs_identical_on_the_compiled_kernels(compiled, tmp_path, monke
         return {p.name: p.read_bytes() for p in sorted(run.iterdir())}, printed
 
     want = outputs("numpy")
-    for name in ("philox4x32", "sample_pauli_bits", "syndrome_bits", "gf2_matmul",
-                 "fixed_forward_bits"):
+    for name in ("philox4x32", "sample_pauli_bits", "syndrome_bits"):
         monkeypatch.setattr(_kernels, name, getattr(compiled, name))
     got = outputs("compiled")
     assert got == want and len(want[0]) == 4

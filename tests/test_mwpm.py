@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from scdec.lattice import build_layout, logical_class
-from scdec.mwpm import MwpmDecoder, _large_matching, decode_mwpm
+from scdec.mwpm import MATCH_DP_MAX, MwpmDecoder, _large_matching, decode_mwpm
 from scdec.noise import Syndrome, compute_syndrome_bits, sample_depolarizing_bits
-from scdec._kernels import MATCH_DP_MAX, match_defects, python_backend
 
+import oracles
 from oracles import (
     brute_force_boundary_matching,
+    match_defects,
     match_weight,
     parity_set_dp,
     random_shortest_path_metric,
@@ -37,12 +38,12 @@ def _pair_mask(tab, comp, pair):
 
 def _reference_mask(tab, defects):
     """Data-qubit mask of the reference matcher's pair arrays
-    (``python_backend.match_defects``), one per union-find component of
+    (``oracles.match_defects``), one per union-find component of
     ``defects``."""
     mask = 0
     for comp in union_find_components(defects, tab.dist, tab.bnd):
         idx = np.array(comp, dtype=np.intp)
-        pair = python_backend.match_defects(tab.dist[np.ix_(idx, idx)], tab.bnd[idx])
+        pair = match_defects(tab.dist[np.ix_(idx, idx)], tab.bnd[idx])
         mask ^= _pair_mask(tab, comp, pair.tolist())
     return mask
 
@@ -81,12 +82,12 @@ def test_large_matching_weight_equals_uncapped_dp_on_lattice_components(monkeypa
                 large.append((len(members), members, tab))
     large.sort(key=lambda item: item[:2])
     assert len(large) >= 8
-    monkeypatch.setattr(python_backend, "MATCH_DP_MAX", 64)
+    monkeypatch.setattr(oracles, "MATCH_DP_MAX", 64)
     for _, members, tab in large[:8]:
         idx = np.array(members, dtype=np.intp)
         dist = tab.dist[np.ix_(idx, idx)]
         bnd = tab.bnd[idx]
-        want = match_weight(dist, bnd, python_backend.match_defects(dist, bnd))
+        want = match_weight(dist, bnd, match_defects(dist, bnd))
         assert match_weight(dist, bnd, _large_matching(dist, bnd)) == want, members
 
 
@@ -149,7 +150,7 @@ def test_python_matcher_pairs_equal_subset_dp_on_ties():
             d = rng.integers(0, 4, size=(k, k))
             d = np.triu(d, 1) + np.triu(d, 1).T
             bnd = rng.integers(0, 4, size=k)
-            got = python_backend.match_defects(d, bnd).tolist()
+            got = match_defects(d, bnd).tolist()
             assert got == subset_dp_matching(d, bnd), (k, trial)
 
 
@@ -180,7 +181,7 @@ def test_python_matcher_pairs_equal_subset_dp_on_lattice_components():
             idx = np.array(comp, dtype=np.intp)
             dist = tab.dist[np.ix_(idx, idx)]
             bnd = tab.bnd[idx]
-            got = python_backend.match_defects(dist, bnd).tolist()
+            got = match_defects(dist, bnd).tolist()
             assert got == subset_dp_matching(dist, bnd), comp
             checked += 1
     assert checked > 1000
@@ -573,6 +574,26 @@ def test_batch_component_split_equals_bitmask_bfs_and_union_find():
                 got[r].append(_bits(c))
             for key, split in zip(keys.tolist(), got):
                 assert split == union_find_components(_bits(key), tab.dist, tab.bnd), key
+
+
+def test_pack_bits_equals_python_int_keys():
+    """``_pack_bits`` sets bit j of a row's key where column j is nonzero:
+    widths 1 to 64, C-ordered rows and transposed views, bool and uint8,
+    entries of 2 and 3.  A 65-bit row raises."""
+    from scdec.mwpm import _pack_bits
+
+    rng = np.random.default_rng(17)
+    for width in range(1, 65):
+        rows = rng.integers(0, 4, size=(70, width)).astype(np.uint8)
+        rows[0] = 0
+        rows[1] = 3
+        want = [sum(1 << j for j in range(width) if r[j]) for r in rows.tolist()]
+        for bits in (rows, rows.astype(bool)):
+            for layout in (bits, np.ascontiguousarray(bits.T).T):
+                keys = _pack_bits(layout)
+                assert keys.dtype == np.uint64 and keys.tolist() == want, width
+    with pytest.raises(ValueError, match="64 bits"):
+        _pack_bits(np.ones((3, 65), dtype=np.uint8))
 
 
 def _per_row_parities(lay, syn):
