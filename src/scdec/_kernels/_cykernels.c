@@ -1,11 +1,11 @@
 /* Compiled backend for the kernels where C beats numpy: plain C99 over the
  * CPython API.
  *
- * Only ``philox4x32``, ``sample_pauli_bits`` and ``syndrome_bits`` are
- * compiled: with two worker threads on a 2-vCPU host, these three in C and
- * the rest in numpy ran ``nn-fixed-d9`` at about 1.7M shots/s against 1.1M
- * with every kernel in C, and kept ``train-d5`` and ``mwpm-d7`` within
- * noise.  ``_kernels`` binds ``gf2_matmul`` and ``fixed_forward_bits`` to
+ * Only ``sample_pauli_bits`` and ``syndrome_bits`` are compiled: with two
+ * worker threads on a 2-vCPU host, these two in C and the rest in numpy ran
+ * ``nn-fixed-d9`` at about 1.7M shots/s against 1.1M with every kernel in
+ * C, and kept ``train-d5`` and ``mwpm-d7`` within noise.  ``_kernels`` binds
+ * ``philox_lanes``, ``gf2_matmul`` and ``fixed_forward_bits`` to
  * ``_pykernels`` always.
  *
  * Every function is bit-identical to its namesake in ``_pykernels``, which
@@ -81,9 +81,9 @@ static void *alloc(size_t size) {
     return p;
 }
 
-/* ``conv(obj)`` modulo 2^64, as Python's ``int(obj) & (2**64 - 1)``. */
-static int as_u64(PyObject *(*conv)(PyObject *), PyObject *obj, uint64_t *out) {
-    PyObject *num = conv(obj);
+/* ``operator.index(obj)`` modulo 2^64, as Python's ``obj & (2**64 - 1)``. */
+static int as_u64(PyObject *obj, uint64_t *out) {
+    PyObject *num = PyNumber_Index(obj);
     if (!num) return -1;
     *out = PyLong_AsUnsignedLongLongMask(num);   /* cannot fail on an int */
     Py_DECREF(num);
@@ -106,35 +106,6 @@ static void philox(uint32_t c[4], uint32_t k0, uint32_t k1) {
     }
 }
 
-static PyObject *k_philox4x32(PyObject *self, PyObject *args) {
-    PyObject *ctr_o, *key_o, *item;
-    uint64_t key[2];
-    Arr c = {0}, out = {0};
-    if (!PyArg_ParseTuple(args, "OO:philox4x32", &ctr_o, &key_o)) return NULL;
-    for (int i = 0; i < 2; i++) {
-        if (!(item = PySequence_GetItem(key_o, i))) return NULL;
-        int rc = as_u64(PyNumber_Long, item, &key[i]);
-        Py_DECREF(item);
-        if (rc < 0) return NULL;
-    }
-    if (arr_in(ctr_o, "uint32", 2, 0, &c) < 0) return NULL;
-    Py_ssize_t n = SHAPE(c, 0), w = SHAPE(c, 1);
-    if (w < 4)
-        PyErr_SetString(PyExc_ValueError, "philox4x32: counters need 4 columns");
-    else if (arr_out(n, 4, "uint32", &out) == 0) {
-        const uint32_t *src = c.view.buf;
-        uint32_t *dst = out.view.buf;
-        Py_BEGIN_ALLOW_THREADS
-        for (Py_ssize_t i = 0; i < n; i++) {
-            memcpy(dst + 4 * i, src + w * i, 4 * sizeof(uint32_t));
-            philox(dst + 4 * i, (uint32_t)key[0], (uint32_t)key[1]);
-        }
-        Py_END_ALLOW_THREADS
-    }
-    arr_release(&c);
-    return out.obj ? arr_take(&out) : NULL;
-}
-
 static PyObject *k_sample_pauli_bits(PyObject *self, PyObject *args) {
     Py_ssize_t n_data, n_shots;
     double p;
@@ -143,9 +114,9 @@ static PyObject *k_sample_pauli_bits(PyObject *self, PyObject *args) {
     Arr x = {0}, z = {0};
     if (!PyArg_ParseTuple(args, "ndOOOn:sample_pauli_bits", &n_data, &p, &seed_o,
                           &stream_o, &shot0_o, &n_shots)
-        || as_u64(PyNumber_Index, seed_o, &seed) < 0
-        || as_u64(PyNumber_Index, stream_o, &stream) < 0
-        || as_u64(PyNumber_Index, shot0_o, &shot0) < 0)
+        || as_u64(seed_o, &seed) < 0
+        || as_u64(stream_o, &stream) < 0
+        || as_u64(shot0_o, &shot0) < 0)
         return NULL;
     if (!isfinite(p))
         return PyErr_Format(PyExc_ValueError, "sample_pauli_bits: p must be finite");
@@ -238,7 +209,6 @@ done:
 /* ------------------------------------------------------------ module -- */
 /* The contracts are documented on the namesakes in ``_pykernels``. */
 static PyMethodDef methods[] = {
-    {"philox4x32", k_philox4x32, METH_VARARGS, "Philox4x32-10 of (n, 4) counters."},
     {"sample_pauli_bits", k_sample_pauli_bits, METH_VARARGS, "Depolarizing error planes."},
     {"syndrome_bits", k_syndrome_bits, METH_VARARGS, "Syndromes, X ancillas first."},
     {NULL, NULL, 0, NULL},

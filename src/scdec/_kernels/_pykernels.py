@@ -1,12 +1,12 @@
 """Pure-numpy reference backend for the hot kernels.
 
 The compiled backend, hand-written C in ``_cykernels.c``, has only the kernels
-where C wins (``philox4x32``, ``sample_pauli_bits``, ``syndrome_bits``; see
-``scdec._kernels``) and must produce bit-identical output for them;
-cross-backend equality is enforced by the test suite, which builds that C
-source.  ``gf2_matmul`` and ``fixed_forward_bits`` run here on both
-backends.  Randomness is counter based (Philox4x32-10), so shot ``k`` of
-stream ``s`` is reproducible independently of batching or worker count.
+where C wins (``sample_pauli_bits``, ``syndrome_bits``; see ``scdec._kernels``)
+and must produce bit-identical output for them; cross-backend equality is
+enforced by the test suite, which builds that C source.  ``philox_lanes``,
+``gf2_matmul`` and ``fixed_forward_bits`` run here on both backends.
+Randomness is counter based (Philox4x32-10), so shot ``k`` of stream ``s`` is
+reproducible independently of batching or worker count.
 
 Bit planes move in few bytes per shot: the sampler compares contiguous
 lanes of shots and returns transposed views of qubit-major planes, and
@@ -66,27 +66,7 @@ def _rounds(state: np.ndarray, prod: np.ndarray, keys: np.ndarray) -> None:
         np.bitwise_and(swapped, _MASK32, out=bd)
 
 
-def philox4x32(ctr: np.ndarray, key) -> np.ndarray:
-    """10-round Philox4x32 block function.
-
-    ctr: (n, 4) uint32 counters; key: pair of uint32.  Returns (n, 4) uint32.
-    """
-    ctr = np.asarray(ctr, dtype=np.uint32)
-    n = len(ctr)
-    out = np.empty((n, 4), dtype=np.uint32)
-    keys = _round_keys(key)
-    state = np.empty((4, min(n, _PASS)), dtype=np.uint64)
-    prod = np.empty((2, min(n, _PASS)), dtype=np.uint64)
-    for a in range(0, n, _PASS):
-        m = min(_PASS, n - a)
-        st = state[:, :m]
-        st[...] = ctr[a:a + m].T
-        _rounds(st, prod[:, :m], keys)
-        out[a:a + m].T[...] = st
-    return out
-
-
-def _raw_u32(n_words_per_shot: int, seed: int, stream: int, shot0: int, n_shots: int):
+def philox_lanes(n_words_per_shot: int, seed: int, stream: int, shot0: int, n_shots: int):
     """Uniform 32-bit words, one pass of whole shots at a time.
 
     Yields ``(first, lanes)``: ``lanes`` is a (4, n_blocks, shots) uint64
@@ -130,7 +110,7 @@ def sample_pauli_bits(n_data: int, p: float, seed: int, stream: int,
     # planes[0] is x, planes[1] z; row 4j + w of a plane is qubit 4j + w
     planes = np.empty((2, n_blocks, 4, n_shots), dtype=bool)
     x_lanes, z_lanes = planes.transpose(0, 2, 1, 3)   # shaped as the lanes
-    for first, u in _raw_u32(n_data, seed, stream, shot0, n_shots):
+    for first, u in philox_lanes(n_data, seed, stream, shot0, n_shots):
         cols = slice(first, first + u.shape[-1])
         np.less(u, t2, out=x_lanes[..., cols])        # X or Y: u < t2 <= thr
         u -= t1                                       # wraps below t1
@@ -211,11 +191,6 @@ def syndrome_bits(x_bits, z_bits, hx, hz):
     return np.unpackbits(acc.view(np.uint8), axis=1, count=n, bitorder="little").T
 
 
-# Fixed-point transfer function ids.
-TRANSFER_SQNL = 0
-TRANSFER_RELU = 1
-
-
 def _sqnl_fixed(acc: np.ndarray, frac: int, bits: int) -> np.ndarray:
     """Saturating quadratic nonlinearity on integers.
 
@@ -242,6 +217,10 @@ def _relu_fixed(acc: np.ndarray, frac: int, bits: int) -> np.ndarray:
     return np.minimum(c, (1 << (bits - 1)) - 1, out=c)
 
 
+# The nonlinearities that have a fixed-point datapath, by transfer name.
+_FIXED_TRANSFERS = {"sqnl": _sqnl_fixed, "relu": _relu_fixed}
+
+
 def _exact_weights(w, a_max: int) -> np.ndarray:
     """``w.T`` as float for products ``a @ w.T`` with ``|a| <= a_max``.
 
@@ -258,7 +237,7 @@ def _exact_weights(w, a_max: int) -> np.ndarray:
 
 
 def fixed_forward_bits(syn, w1, b1, w2, b2, wout, bout,
-                       wfrac: int, abits: int, transfer: int):
+                       wfrac: int, abits: int, transfer: str):
     """Bit-exact emulation of the combinatorial fixed-point datapath.
 
     Layer-1 inputs are single bits (multiply = AND with the weight), weights
@@ -268,16 +247,14 @@ def fixed_forward_bits(syn, w1, b1, w2, b2, wout, bout,
     layer's weighted sums run ``_ROWS`` shots at a time through float32
     BLAS when its operand bound (inputs below 2^8, activations at most
     2^(abits-1)) keeps them below 2^24, and through float64 BLAS otherwise;
-    the nonlinearity is int64.
+    the nonlinearity is int64, ``"sqnl"`` or ``"relu"``.
 
     syn: (n, n_in) uint8.  Returns (n, 2) uint8 class bits.
     """
-    if transfer == TRANSFER_SQNL:
-        nonlin = _sqnl_fixed
-    elif transfer == TRANSFER_RELU:
-        nonlin = _relu_fixed
-    else:
-        raise ValueError(f"fixed-point transfer id {transfer} unsupported")
+    try:
+        nonlin = _FIXED_TRANSFERS[transfer]
+    except KeyError:
+        raise ValueError(f"no fixed-point datapath for transfer {transfer!r}") from None
     syn = np.atleast_2d(np.asarray(syn)).astype(np.uint8, copy=False)
     a_max = 1 << (abits - 1)
     w1t = _exact_weights(w1, 255)

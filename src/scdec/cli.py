@@ -347,8 +347,7 @@ def cmd_cost(args) -> int:
         raise ConfigError("cost needs --distance, --n1 and --n2")
     quant = QuantSpec(args.bits) if args.bits else None
     net_cfg = NetworkConfig(d=args.distance, n1=args.n1, n2=args.n2,
-                            transfer=args.transfer, rotated=args.rotated,
-                            quant=quant)
+                            transfer=args.transfer, quant=quant)
     try:
         report = hwcost.network_cost(net_cfg)
     except ValueError as exc:
@@ -554,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n2", type=int)
     p.add_argument("--bits", type=int, default=0)
     p.add_argument("--transfer", choices=TRANSFERS, default="sqnl")
-    p.add_argument("--rotated", action="store_true")
     p.add_argument("--budget-report", metavar="SWEEP_CSV",
                    help="emit the optimal-distance-per-budget report instead")
     p.add_argument("--budgets", help="comma-separated cost budgets")

@@ -1,10 +1,10 @@
 """Monte Carlo benchmarking, pseudo-threshold extraction and curve fitting.
 
-A decoder is anything that maps a syndrome batch to logical-class
-predictions *relative to the pure-error decoder output*: the prediction is
-compared against the logical difference between the actual error and the
-pure error.  The always-identity decoder therefore measures the raw
-pure-error decoder; the MWPM decoder predicts the class of
+A decoder is anything whose ``predict(syn)`` maps a uint8 syndrome batch
+(n, n_anc) to (n, 2) logical-class bits *relative to the pure-error decoder
+output*: the prediction is compared against the logical difference between
+the actual error and the pure error.  The always-identity decoder therefore
+measures the raw pure-error decoder; the MWPM decoder predicts the class of
 ``mwpm_correction XOR pure_error``, which makes its failure criterion
 ``logical_class(actual XOR mwpm_correction) != I`` as usual.
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Protocol
 
 import numpy as np
 
@@ -68,18 +67,9 @@ class FitResult:
     residual: float  # sum of squared log-domain residuals
 
 
-class Decoder(Protocol):
-    name: str
-
-    def predict(self, syn: np.ndarray) -> np.ndarray:
-        """Class-bit predictions (n, 2) for a uint8 syndrome batch."""
-
-
 class TrivialDecoder:
     """Always predicts logical identity; benchmarks the raw pure-error
     decoder when used as the classifier."""
-
-    name = "trivial"
 
     def predict(self, syn: np.ndarray) -> np.ndarray:
         return np.zeros((syn.shape[0], 2), dtype=np.uint8)
@@ -87,8 +77,6 @@ class TrivialDecoder:
 
 class MwpmBenchmarkDecoder:
     """Minimum-weight matching as a class predictor in the common frame."""
-
-    name = "mwpm"
 
     def __init__(self, layout: Layout):
         self.layout = layout
@@ -101,8 +89,6 @@ class MwpmBenchmarkDecoder:
 
 
 class NNFloatDecoder:
-    name = "nn-float"
-
     def __init__(self, cfg: NetworkConfig, weights):
         self.cfg = cfg
         self.weights = expand_rotated(cfg, weights)
@@ -114,8 +100,6 @@ class NNFloatDecoder:
 
 
 class NNFixedDecoder:
-    name = "nn-fixed"
-
     def __init__(self, cfg: NetworkConfig, qweights: QuantizedWeights):
         if cfg.quant is None:
             cfg = NetworkConfig(cfg.d, cfg.n1, cfg.n2, cfg.transfer,

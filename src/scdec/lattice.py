@@ -124,10 +124,6 @@ class Layout:
     def __repr__(self) -> str:
         return f"Layout(d={self.d})"
 
-    def anc_plaquette(self, a: int) -> tuple[int, int]:
-        """Plaquette coordinates ``(a, b)`` of ancilla ``a`` (debug aid)."""
-        return self._plaq_of_anc[a]
-
     def rot_anc_power(self, g: int) -> tuple[int, ...]:
         """``rot_anc`` composed ``g`` times (``g`` taken mod 4)."""
         perm = list(range(self.n_anc))

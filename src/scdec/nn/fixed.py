@@ -16,10 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import _kernels
-from .._kernels import _pykernels
 from .config import NetworkConfig, QuantizedWeights
-
-_TRANSFER_IDS = {"sqnl": _pykernels.TRANSFER_SQNL, "relu": _pykernels.TRANSFER_RELU}
 
 
 def forward_fixed_batch(cfg: NetworkConfig, qw: QuantizedWeights,
@@ -29,15 +26,13 @@ def forward_fixed_batch(cfg: NetworkConfig, qw: QuantizedWeights,
         raise ValueError("config has no quantization spec")
     if qw.spec != cfg.quant:
         raise ValueError(f"weights quantized for {qw.spec}, config wants {cfg.quant}")
-    if cfg.transfer not in _TRANSFER_IDS:
-        raise ValueError(f"no fixed-point datapath for transfer {cfg.transfer!r}")
     qw.validate()
     syn = np.atleast_2d(syn)
     if syn.shape[1] != cfg.n_in:
         raise ValueError(f"syndrome width {syn.shape[1]} != {cfg.n_in}")
     return _kernels.fixed_forward_bits(
         syn, qw.w1, qw.b1, qw.w2, qw.b2, qw.wout, qw.bout,
-        qw.spec.wfrac, qw.spec.bits, _TRANSFER_IDS[cfg.transfer],
+        qw.spec.wfrac, qw.spec.bits, cfg.transfer,
     )
 
 

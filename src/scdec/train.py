@@ -66,10 +66,15 @@ class TrainConfig:
             raise ValueError("n_batches must be >= 0")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.reg_scale < 0:
-            raise ValueError("reg_scale must be >= 0")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"adam_eps (eps) must be finite and > 0, got {self.eps}")
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValueError(f"{key} must be in [0, 1), got {getattr(self, key)}")
+        if not (np.isfinite(self.reg_scale) and self.reg_scale >= 0):
+            raise ValueError(f"reg_scale must be finite and >= 0, got {self.reg_scale}")
         if not 2 <= self.reg_bits <= 8:
             raise ValueError("reg_bits must be in 2..8")
         if self.p_train is not None and not 0.0 <= self.p_train <= 1.0:
@@ -170,8 +175,11 @@ def adam_step(state: AdamState, weights, grads, lr: float, beta1: float = 0.9,
 
 def init_weights(cfg: NetworkConfig, seed: int):
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer, drawn
-    from the counter-based stream so runs are reproducible."""
-    from ._kernels import philox4x32
+    from the counter-based stream so runs are reproducible.
+
+    Parameter block ``j``, counted across the parameters in order, is shot
+    ``j`` of ``INIT_STREAM`` with four words per shot."""
+    from ._kernels import philox_lanes
 
     full = cfg.param_shapes()
     arrays = {}
@@ -180,12 +188,11 @@ def init_weights(cfg: NetworkConfig, seed: int):
         fan_in = full["w" + name[1:]][1]    # a bias shares its layer's fan-in
         n = int(np.prod(shape))
         blocks = (n + 3) // 4
-        ctr = np.zeros((blocks, 4), dtype=np.uint32)
-        ctr[:, 0] = np.arange(word, word + blocks, dtype=np.uint32)
-        ctr[:, 3] = INIT_STREAM
+        words = np.empty((blocks, 4), dtype=np.uint64)
+        for first, lanes in philox_lanes(4, seed, INIT_STREAM, word, blocks):
+            words[first:first + lanes.shape[-1]] = lanes[:, 0].T   # copy before the next pass
         word += blocks
-        u32 = philox4x32(ctr, (seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF))
-        u = u32.reshape(-1)[:n].astype(np.float64) / 2.0 ** 32
+        u = words.reshape(-1)[:n].astype(np.float64) / 2.0 ** 32
         bound = 1.0 / np.sqrt(fan_in)
         arrays[name] = ((2.0 * u - 1.0) * bound).reshape(shape)
     cls = BaseWeights if cfg.rotated else Weights

@@ -138,14 +138,21 @@ def test_bad_training_length_is_exit_3(tmp_path, capsys, no_sampling, cmd, setti
     ("sweep", "p_train=1.5"), ("sweep", "p_train=nan"),
     ("sweep", "eps_max=2"), ("sweep", "eps_list=0.1,nan"), ("sweep", "shots=0"),
     ("eval", "eps_list=0.1,1.5"), ("eval", "eps_max=2"),
+    *((cmd, setting) for cmd in ("train", "sweep")
+      for setting in ("lr=nan", "lr=inf", "adam_eps=-1", "beta1=1.5", "beta2=-1",
+                      "reg_scale=nan")),
 ])
 def test_setting_out_of_range_is_exit_3(tmp_path, capsys, no_sampling, cmd, setting):
-    """A training or evaluation error rate outside [0, 1], or no shots,
-    exits 3 and writes nothing, before any shot is sampled."""
+    """A training or evaluation error rate outside [0, 1], no shots, or an
+    ADAM setting out of range (a non-finite or non-positive step or eps, a
+    moment decay outside [0, 1), a NaN regularization scale) exits 3 and
+    writes nothing, before any shot is sampled.  Every message but the
+    error-rate grid's names its key."""
     out = tmp_path / "out"
     code, _, err = run(_CONFIG_ARGV[cmd] + ["--set", setting, "--out", str(out)],
                        capsys)
     assert code == 3 and "must be" in err
+    assert setting.startswith("eps_") or setting.split("=")[0] in err
     assert not out.exists()
 
 

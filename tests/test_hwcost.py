@@ -106,6 +106,16 @@ def test_doubling_layer_size_increases_cost():
     assert b.pp_bits > a.pp_bits and b.bitops > a.bitops
 
 
+def test_rotation_sharing_changes_no_count():
+    """A rotated net shares weights in training only; its datapath has as
+    many nodes of each width as the unrotated one."""
+    for d in (3, 9):
+        rotated, plain = (network_cost(NetworkConfig(d=d, n1=16, n2=4, rotated=r,
+                                                     quant=QuantSpec(5))).to_dict()
+                          for r in (True, False))
+        assert rotated == plain
+
+
 def test_sweep_extremes_dominate():
     small = network_cost(NetworkConfig(d=9, n1=8, n2=4, quant=QuantSpec(3)))
     large = network_cost(NetworkConfig(d=9, n1=256, n2=64, quant=QuantSpec(9)))

@@ -17,14 +17,20 @@ from scdec.lattice import build_layout
 from oracles import pauli_bits_scalar, philox_scalar
 
 
-def test_philox_matches_scalar_reference(compiled):
+def _philox_rounds(ctr, key):
+    """The numpy Philox rounds on (n, 4) counters, as (n, 4) words."""
+    state = np.array(ctr, dtype=np.uint64).T.copy()
+    pk._rounds(state, np.empty((2, state.shape[1]), dtype=np.uint64), pk._round_keys(key))
+    return state.T
+
+
+def test_philox_matches_scalar_reference():
     rng = np.random.default_rng(0)
     ctr = rng.integers(0, 2 ** 32, size=(200, 4), dtype=np.uint32)
     key = (0xDEADBEEF, 0x12345678)
-    for impl in (pk.philox4x32, compiled.philox4x32):
-        got = impl(ctr, key)
-        for i in range(0, 200, 17):
-            assert list(got[i]) == philox_scalar(ctr[i], key), i
+    got = _philox_rounds(ctr, key)
+    for i in range(0, 200, 17):
+        assert got[i].tolist() == philox_scalar(ctr[i], key), i
 
 
 # The Philox4x32-10 known-answer vectors published with Random123
@@ -40,20 +46,9 @@ _PHILOX_KAT = [
 
 
 @pytest.mark.parametrize("ctr,key,want", _PHILOX_KAT)
-def test_philox_known_answers(compiled, ctr, key, want):
-    for impl in (pk.philox4x32, compiled.philox4x32):
-        got = impl(np.array([ctr], dtype=np.uint32), key)
-        assert got.dtype == np.uint32 and got.tolist() == [list(want)]
-
-
-def test_philox_backends_identical(compiled):
-    rng = np.random.default_rng(1)
-    ctr = rng.integers(0, 2 ** 32, size=(5000, 4), dtype=np.uint32)
-    assert np.array_equal(pk.philox4x32(ctr, (1, 2)), compiled.philox4x32(ctr, (1, 2)))
-    # int64 counters, a column slice, and key words beyond 32 bits
-    wide = rng.integers(0, 2 ** 32, size=(300, 6)).astype(np.int64)[:, 1:5]
-    key = (2 ** 40 + 3, -1)
-    assert np.array_equal(pk.philox4x32(wide, key), compiled.philox4x32(wide, key))
+def test_philox_known_answers(ctr, key, want):
+    assert philox_scalar(ctr, key) == list(want)
+    assert _philox_rounds([ctr], key).tolist() == [list(want)]
 
 
 @pytest.mark.parametrize("p", (0.0, 0.03, 0.08251, 0.3, 1.0))
@@ -64,18 +59,6 @@ def test_sampling_backends_identical(compiled, p, shot0):
     b = compiled.sample_pauli_bits(81, p, 987654321012, 7, shot0, 800)
     for u, v in zip(a, b):
         assert u.dtype == v.dtype == np.uint8 and np.array_equal(u, v)
-
-
-def test_philox_across_passes(compiled):
-    """21,000 blocks: more than one pass of the numpy rounds and not a
-    multiple of it.  Every block matches the scalar oracle."""
-    rng = np.random.default_rng(5)
-    ctr = rng.integers(0, 2 ** 32, size=(21_000, 4), dtype=np.uint32)
-    assert len(ctr) > pk._PASS and len(ctr) % pk._PASS
-    key = (0x01234567, 0x89ABCDEF)
-    got = pk.philox4x32(ctr, key)
-    assert np.array_equal(got, compiled.philox4x32(ctr, key))
-    assert got.tolist() == [philox_scalar(c, key) for c in ctr]
 
 
 @pytest.mark.parametrize("p", (0.0, 0.1, 1.0))
@@ -164,7 +147,7 @@ def test_transposed_planes_give_the_bytes_of_contiguous_copies():
                                                      t, 1.0, 8)
         arrays = [*lattice.cut_parities(lay, x, z), *ped.decode_cut_parities(lay, syn),
                   pk.fixed_forward_bits(syn, qw.w1, qw.b1, qw.w2, qw.b2, qw.wout, qw.bout,
-                                        qw.spec.wfrac, qw.spec.bits, pk.TRANSFER_SQNL),
+                                        qw.spec.wfrac, qw.spec.bits, "sqnl"),
                   forward_float_batch(cfg, weights, syn), *mwpm.cut_parities_batch(syn),
                   np.float64(value), out, *grads.arrays().values()]
         return [np.asarray(a).tobytes() for a in arrays]
@@ -213,8 +196,8 @@ def test_numpy_only_kernels_coerce_their_inputs():
     """``gf2_matmul`` and ``fixed_forward_bits`` run in numpy on both
     backends.  Bool, other integer dtypes, one-dimensional rows, column
     slices, lists and entries other than 0/1 give the uint8 output of
-    canonical inputs (for GF(2), only the parity of an entry counts), and an
-    unknown transfer id raises."""
+    canonical inputs (for GF(2), only the parity of an entry counts), and a
+    transfer without a fixed-point datapath raises."""
     rng = np.random.default_rng(6)
     syn = rng.integers(0, 2, size=(300, 24)).astype(np.uint8)
     mat = rng.integers(0, 2, size=(24, 40)).astype(np.int64)
@@ -230,15 +213,15 @@ def test_numpy_only_kernels_coerce_their_inputs():
             rng.integers(-lim, lim, size=4), rng.integers(-lim, lim, size=(2, 4)),
             rng.integers(-lim, lim, size=2))
     wide = rng.integers(0, 2, size=(100, 30)).astype(np.uint8)
-    for transfer in (pk.TRANSFER_SQNL, pk.TRANSFER_RELU):
+    for transfer in ("sqnl", "relu"):
         want = pk.fixed_forward_bits(wide[:, 3:27].copy(), w1[:, 3:27].copy(), *rest,
                                      wf, bits, transfer)
         for s, w in ((wide.astype(bool)[:, 3:27], w1[:, 3:27].astype(np.int32)),
                      (wide[0, 3:27], w1[:, 3:27].tolist())):
             got = pk.fixed_forward_bits(s, w, *rest, wf, bits, transfer)
             assert got.dtype == np.uint8 and np.array_equal(want[:len(got)], got)
-    with pytest.raises(ValueError, match="transfer id 2"):
-        pk.fixed_forward_bits(wide, w1, *rest, wf, bits, 2)
+    with pytest.raises(ValueError, match="no fixed-point datapath for transfer 'tanh'"):
+        pk.fixed_forward_bits(wide, w1, *rest, wf, bits, "tanh")
 
 
 _BINDINGS = """
@@ -249,31 +232,32 @@ spec.loader.exec_module(compiled)
 from scdec import _kernels
 from scdec._kernels import _pykernels
 print(_kernels.BACKEND,
+      _kernels.philox_lanes is _pykernels.philox_lanes,
       _kernels.gf2_matmul is _pykernels.gf2_matmul,
       _kernels.fixed_forward_bits is _pykernels.fixed_forward_bits,
       all(getattr(_kernels, n) is getattr(compiled, n)
-          for n in ("philox4x32", "sample_pauli_bits", "syndrome_bits")))
+          for n in ("sample_pauli_bits", "syndrome_bits")))
 """
 
 
 def test_compiled_backend_holds_only_the_kernels_where_c_wins(compiled):
-    """The extension exports exactly Philox, sampling and syndromes.  Under
-    both ``SCDEC_BACKEND`` values, each in a fresh interpreter that can
-    import the extension, the GF(2) product and the fixed-point network are
-    the numpy functions, and the three compiled kernels are bound only under
-    ``cython``."""
+    """The extension exports exactly sampling and syndromes.  Under both
+    ``SCDEC_BACKEND`` values, each in a fresh interpreter that can import the
+    extension, the Philox lanes, the GF(2) product and the fixed-point
+    network are the numpy functions, and the two compiled kernels are bound
+    only under ``cython``."""
     import os
     import subprocess
     import sys
 
     assert {n for n in dir(compiled) if not n.startswith("_")} == \
-        {"philox4x32", "sample_pauli_bits", "syndrome_bits"}
+        {"sample_pauli_bits", "syndrome_bits"}
     src = os.path.dirname(os.path.dirname(os.path.abspath(scdec.__file__)))
     for backend, bound in (("python", "False"), ("cython", "True")):
         env = dict(os.environ, SCDEC_BACKEND=backend, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", _BINDINGS, compiled.__file__], env=env,
                              check=True, capture_output=True, text=True).stdout.split()
-        assert out == [backend, "True", "True", bound]
+        assert out == [backend, "True", "True", "True", bound]
 
 
 @pytest.mark.parametrize("n,k,m", [(5000, 257, 40), (3, 1 << 20, 2), (1, (1 << 22) + 1, 1)])
@@ -323,9 +307,9 @@ def test_fixed_forward_exact_at_the_widest_operands(extra):
     for i, arrays in enumerate(weight_sets):
         qw = QuantizedWeights(**arrays, spec=spec)
         qw.validate()
-        for transfer, name in ((pk.TRANSFER_SQNL, "sqnl"), (pk.TRANSFER_RELU, "relu")):
+        for name in ("sqnl", "relu"):
             got = pk.fixed_forward_bits(syn, qw.w1, qw.b1, qw.w2, qw.b2, qw.wout, qw.bout,
-                                        spec.wfrac, spec.bits, transfer)
+                                        spec.wfrac, spec.bits, name)
             want = [fixed_forward_bigint(qw, row, spec.wfrac, spec.bits, name) for row in syn]
             assert got.tolist() == want, (i, name)
 
@@ -362,9 +346,9 @@ def test_fixed_forward_switches_to_float64_at_2_to_24():
         n_in = qw.w1.shape[1]
         syn = np.vstack([np.ones(n_in), np.zeros(n_in),
                          rng.integers(0, 2, size=(30, n_in))]).astype(np.uint8)
-        for transfer, tname in ((pk.TRANSFER_SQNL, "sqnl"), (pk.TRANSFER_RELU, "relu")):
+        for tname in ("sqnl", "relu"):
             got = pk.fixed_forward_bits(syn, qw.w1, qw.b1, qw.w2, qw.b2, qw.wout, qw.bout,
-                                        wfrac, abits, transfer)
+                                        wfrac, abits, tname)
             want = [fixed_forward_bigint(qw, row, wfrac, abits, tname) for row in syn]
             assert got.tolist() == want, (name, tname)
 
@@ -374,7 +358,7 @@ def test_fixed_forward_refuses_sums_beyond_float64():
     zeros = np.zeros(3, dtype=np.int64)
     with pytest.raises(ValueError, match=r"2\^53"):
         pk.fixed_forward_bits(syn, np.full((3, 4), 1 << 50), zeros, np.ones((3, 3)),
-                              zeros, np.ones((2, 3)), zeros[:2], 8, 9, 0)
+                              zeros, np.ones((2, 3)), zeros[:2], 8, 9, "sqnl")
 
 
 def test_backend_reports_name():
@@ -407,7 +391,7 @@ def test_cli_outputs_identical_on_the_compiled_kernels(compiled, tmp_path, monke
         return {p.name: p.read_bytes() for p in sorted(run.iterdir())}, printed
 
     want = outputs("numpy")
-    for name in ("philox4x32", "sample_pauli_bits", "syndrome_bits"):
+    for name in ("sample_pauli_bits", "syndrome_bits"):
         monkeypatch.setattr(_kernels, name, getattr(compiled, name))
     got = outputs("compiled")
     assert got == want and len(want[0]) == 4

@@ -327,7 +327,7 @@ def test_fixed_requires_quant_spec_and_supported_transfer():
     with pytest.raises(ValueError):
         forward_fixed(NetworkConfig(d=3, n1=4, n2=4), qw, np.zeros(8, np.uint8))
     cfg = NetworkConfig(d=3, n1=4, n2=4, transfer="tanh", quant=spec)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no fixed-point datapath for transfer 'tanh'"):
         forward_fixed(cfg, qw, np.zeros(8, np.uint8))
 
 

@@ -18,7 +18,7 @@ from scdec.train import (
 )
 from scdec.nn.config import BaseWeights, Weights
 
-from oracles import gf2_span
+from oracles import gf2_span, philox_scalar
 
 
 def _flatten(w):
@@ -152,6 +152,33 @@ def test_gradients_match_finite_differences(transfer, rotated):
             fd[i] = (lp - lm) / (2 * h)
         rel = np.abs(gv - fd) / np.maximum(np.abs(fd), 1e-3)
         assert rel.max() < 1e-5
+
+
+# ---------------------------------------------------------------- init --
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32 + 7, 2 ** 64 - 1])
+@pytest.mark.parametrize("d,rotated", [(3, False), (3, True), (9, False), (9, True)])
+def test_init_weights_are_philox_words_of_the_init_stream(d, rotated, seed):
+    """Parameter block ``j``, counted across the parameters in order, is the
+    Philox block at counter (j_lo, j_hi, 0, INIT_STREAM) under key (seed_lo,
+    seed_hi); each array starts a new block, and its word ``u`` becomes
+    ``(2u/2^32 - 1)/sqrt(fan_in)``."""
+    from scdec.noise import INIT_STREAM
+
+    M = 0xFFFFFFFF
+    cfg = NetworkConfig(d=d, n1=16, n2=4, transfer="sqnl", rotated=rotated)
+    w = init_weights(cfg, seed)
+    assert isinstance(w, BaseWeights if rotated else Weights)
+    fan_in = {"1": cfg.n_in, "2": cfg.n1, "out": cfg.n2}
+    j = 0
+    for name, a in w.arrays().items():
+        words = []
+        while len(words) < a.size:
+            words += philox_scalar((j & M, j >> 32, 0, INIT_STREAM), (seed & M, seed >> 32))
+            j += 1
+        u = np.array(words[:a.size], dtype=np.float64) / 2.0 ** 32
+        want = (2.0 * u - 1.0) * (1.0 / np.sqrt(fan_in[name[1:]]))
+        assert a.dtype == np.float64 and np.array_equal(a.ravel(), want), name
 
 
 # ---------------------------------------------------------------- adam --
