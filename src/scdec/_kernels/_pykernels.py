@@ -8,6 +8,12 @@ enforced by the test suite, which builds that C source.  ``philox_lanes``,
 Randomness is counter based (Philox4x32-10), so shot ``k`` of stream ``s`` is
 reproducible independently of batching or worker count.
 
+Philox runs in passes of up to 2^16 blocks on uint32 words.  A round is three
+ufunc calls: a uint32 x uint64 multiply into one of two alternating uint64
+product buffers, and two XORs that read the product's halves through uint32
+views.  Few, long calls let two shot workers sample without waiting on
+each other for the GIL.
+
 Bit planes move in few bytes per shot: the sampler compares contiguous
 lanes of shots and returns transposed views of qubit-major planes, and
 syndromes are XORs of qubit rows packed 64 shots to a word.  Integer
@@ -17,6 +23,8 @@ float32 below 2^24 and float64 below 2^53, and the kernels check that bound.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 # Philox4x32-10 round constants.
@@ -25,9 +33,17 @@ _W0 = 0x9E3779B9
 _W1 = 0xBB67AE85
 _MASK32 = 0xFFFFFFFF
 
-# Blocks per Philox pass: the (4, n) state and (2, n) product scratch, 768 KiB
-# of uint64 at this size, stay in cache through the ten rounds.
-_PASS = 1 << 14
+# Index of the low and the high uint32 half in a native uint64 viewed as two
+# uint32: the low half comes first only on little-endian hosts.
+_LO = 0 if sys.byteorder == "little" else 1
+_HI = 1 - _LO
+
+# Blocks per Philox pass.  Each ufunc call of a pass is long enough that two
+# workers rarely wait on the GIL; the (4, n) uint32 state and two (2, n)
+# uint64 product buffers take 3 MiB per worker at this size.  With two
+# workers on a 2-vCPU host, d=9 sampling ran faster at 2^16 than at 2^15, and
+# faster again at 2^17, where the scratch grew peak memory by 7 MiB.
+_PASS = 1 << 16
 
 # Sums of 0/1 products are exact in float32 below 2^24 (float64: 2^53),
 # whatever order BLAS adds them in.
@@ -39,10 +55,10 @@ _ROWS = 1 << 12
 
 
 def _round_keys(key) -> np.ndarray:
-    """(10, 2, 1) uint64: the key pair (k0, k1) of each round."""
+    """(10, 2, 1) uint32: the key pair (k0, k1) of each round."""
     k0 = int(key[0]) & _MASK32
     k1 = int(key[1]) & _MASK32
-    keys = np.empty((10, 2, 1), dtype=np.uint64)
+    keys = np.empty((10, 2, 1), dtype=np.uint32)
     for r in range(10):
         keys[r] = ((k0,), (k1,))
         k0 = (k0 + _W0) & _MASK32
@@ -50,28 +66,32 @@ def _round_keys(key) -> np.ndarray:
     return keys
 
 
-def _rounds(state: np.ndarray, prod: np.ndarray, keys: np.ndarray) -> None:
-    """Ten Philox4x32 rounds in place.
+def _rounds(state: np.ndarray, prods: np.ndarray, keys: np.ndarray) -> None:
+    """Ten Philox4x32 rounds in place, three ufunc calls each.
 
-    ``state`` is (4, m) uint64 holding the 32-bit words (c0, c1, c2, c3) of
-    ``m`` blocks; ``prod`` is (2, m) uint64 scratch.
+    ``state`` is (4, m) uint32 holding the words (c0, c1, c2, c3) of ``m``
+    blocks; ``prods`` is (2, 2, m) uint64 scratch.  Rounds alternate between
+    the two product buffers, so the low halves one round leaves in its
+    buffer are the (c1, c3) that the next round reads, without a copy.
     """
-    ac, bd = state[0::2], state[1::2]       # (c0, c2), (c1, c3)
-    swapped = prod[::-1]                    # (c2 * M1, c0 * M0)
-    for k in keys:
-        np.multiply(ac, _MULT, out=prod)
-        np.right_shift(swapped, 32, out=ac)
-        ac ^= bd
-        ac ^= k
-        np.bitwise_and(swapped, _MASK32, out=bd)
+    a, b = state[0::2], state[1::2]             # (c0, c2), (c1, c3)
+    for r, k in enumerate(keys):
+        prod = prods[r & 1]
+        np.multiply(a, _MULT, out=prod)         # (c0 * M0, c2 * M1)
+        halves = prod.view(np.uint32)[::-1]     # the (c2 * M1, c0 * M0) row order
+        np.bitwise_xor(halves[:, _HI::2], b, out=a)
+        a ^= k
+        b = halves[:, _LO::2]
+    state[1::2] = b
 
 
 def philox_lanes(n_words_per_shot: int, seed: int, stream: int, shot0: int, n_shots: int):
     """Uniform 32-bit words, one pass of whole shots at a time.
 
-    Yields ``(first, lanes)``: ``lanes`` is a (4, n_blocks, shots) uint64
+    Yields ``(first, lanes)``: ``lanes`` is a (4, n_blocks, shots) uint32
     view of scratch that the next pass overwrites, where ``lanes[w, j, i]``
-    is word ``4j + w`` of shot ``shot0 + first + i``.  Counter layout per
+    is word ``4j + w`` of shot ``shot0 + first + i``.  A pass holds at most
+    ``_PASS`` blocks, or one shot if that takes more.  Counter layout per
     128-bit block: (shot_lo, shot_hi, block, stream); key = (seed_lo,
     seed_hi).  Blocks are laid out block-major within a pass, so each word
     of a block is one contiguous lane of shots; Philox maps every block on
@@ -79,9 +99,9 @@ def philox_lanes(n_words_per_shot: int, seed: int, stream: int, shot0: int, n_sh
     """
     n_blocks = max(1, (n_words_per_shot + 3) // 4)
     per = max(1, min(_PASS // n_blocks, n_shots))
-    state = np.empty((4, per * n_blocks), dtype=np.uint64)
-    prod = np.empty((2, per * n_blocks), dtype=np.uint64)
-    block = np.arange(n_blocks, dtype=np.uint64)[:, None]
+    state = np.empty((4, per * n_blocks), dtype=np.uint32)
+    prods = np.empty((2, 2, per * n_blocks), dtype=np.uint64)
+    block = np.arange(n_blocks, dtype=np.uint32)[:, None]
     ahead = np.arange(per, dtype=np.uint64)
     keys = _round_keys((seed & _MASK32, (seed >> 32) & _MASK32))
     for first in range(0, n_shots, per):
@@ -93,7 +113,7 @@ def philox_lanes(n_words_per_shot: int, seed: int, stream: int, shot0: int, n_sh
         lanes[1] = shots >> 32
         lanes[2] = block
         lanes[3] = stream & _MASK32
-        _rounds(st, prod[:, :s * n_blocks], keys)
+        _rounds(st, prods[..., :s * n_blocks], keys)
         yield first, lanes
 
 
@@ -102,6 +122,11 @@ def sample_pauli_bits(n_data: int, p: float, seed: int, stream: int,
     """Depolarizing samples: each qubit errs with probability ``p`` and then
     draws X/Y/Z uniformly.  Returns (x_bits, z_bits) uint8 (n_shots, n_data),
     transposed views of qubit-major planes.
+
+    The words are uint32, and so is the arithmetic on them.  It is exact:
+    ``t2`` and ``thr - t1`` stay below 2^32 for every ``p`` in [0, 1], and
+    ``u - t1`` wraps mod 2^32 for words below ``t1`` to at least
+    ``2^32 - t1 >= thr - t1``, so those words fail the Y-or-Z compare.
     """
     thr = int(round(p * 4294967296.0))  # P(error) = thr / 2^32, exact at p in {0,1}
     t1 = thr // 3
@@ -151,12 +176,21 @@ def gf2_matmul(bits, mat):
     return out
 
 
+def _holds_bits(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is already 0 or 1: bool arrays, and
+    uint8 views of bool memory such as the sampler's planes."""
+    return a.dtype == bool or (a.dtype == np.uint8 and isinstance(a.base, np.ndarray)
+                               and a.base.dtype == bool)
+
+
 def syndrome_bits(x_bits, z_bits, hx, hz):
     """Syndrome of a batch of error configurations.
 
     X-ancilla rows (``hx``) read the z-plane, Z-ancilla rows the x-plane.
     Returns uint8 (n, n_anc) with X-ancilla bits first, the transposed view
     of an ancilla-major array.  ``n_data >= 2^24`` raises ValueError.
+    Only the low bit of an entry counts; planes that hold bits already
+    (bool, or the sampler's uint8 views of bool memory) skip that mask.
 
     Each plane's qubit rows are packed 64 shots to a word, and a check's
     bits are the XOR of its support's rows.  Supports are padded to one
@@ -175,7 +209,7 @@ def syndrome_bits(x_bits, z_bits, hx, hz):
     # rows: the z-plane's qubits, the x-plane's qubits, then one zero row
     packed = np.zeros((2 * nd + 1, -(-n // 64) * 8), dtype=np.uint8)
     for rows, plane in ((packed[:nd], z_bits), (packed[nd:-1], x_bits)):
-        if plane.dtype != bool:
+        if not _holds_bits(plane):
             plane = plane & 1
         rows[:, :-(-n // 8)] = np.packbits(plane.T, axis=1, bitorder="little")
     # each check's support as rows of ``packed``, padded with the zero row

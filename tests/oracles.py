@@ -432,10 +432,16 @@ def pauli_bits_scalar(n_data, p, seed, stream, shot0, n_shots):
         for block in range((n_data + 3) // 4):
             words += philox_scalar((s & M, s >> 32, block, stream), key)
         for q, u in enumerate(words[:n_data]):
-            if u < thr:
-                x[i, q] = u < 2 * thr // 3
-                z[i, q] = u >= thr // 3
+            x[i, q], z[i, q] = pauli_of_word(u, thr)
     return x, z
+
+
+def pauli_of_word(u, thr):
+    """(x, z) bits of one word ``u`` at threshold ``thr``: no error from
+    ``thr`` up, X below ``2 thr // 3`` and Z from ``thr // 3`` (both: Y)."""
+    if u >= thr:
+        return 0, 0
+    return int(u < 2 * thr // 3), int(u >= thr // 3)
 
 
 def syndrome_dense(x_bits, z_bits, hx, hz):

@@ -6,21 +6,26 @@ published known-answer vectors.
 The ``compiled`` fixture (``conftest.py``) builds the C extension into a
 temporary directory, so these tests run wherever a C compiler is on PATH."""
 
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scdec
 from scdec import _kernels
 from scdec._kernels import _pykernels as pk
 from scdec.lattice import build_layout
 
-from oracles import pauli_bits_scalar, philox_scalar
+from oracles import pauli_bits_scalar, pauli_of_word, philox_scalar
 
 
 def _philox_rounds(ctr, key):
     """The numpy Philox rounds on (n, 4) counters, as (n, 4) words."""
-    state = np.array(ctr, dtype=np.uint64).T.copy()
-    pk._rounds(state, np.empty((2, state.shape[1]), dtype=np.uint64), pk._round_keys(key))
+    state = np.array(ctr, dtype=np.uint32).T.copy()
+    pk._rounds(state, np.empty((2,) + state[:2].shape, dtype=np.uint64), pk._round_keys(key))
     return state.T
 
 
@@ -61,20 +66,102 @@ def test_sampling_backends_identical(compiled, p, shot0):
         assert u.dtype == v.dtype == np.uint8 and np.array_equal(u, v)
 
 
+# 81 qubits take 21 blocks a shot, so a pass holds _PER shots; a batch from
+# _CROSS0 crosses 2^32 a quarter of the way into its second pass.
+_PER = pk._PASS // 21
+_CROSS0 = 2 ** 32 - _PER - _PER // 4
+
+
 @pytest.mark.parametrize("p", (0.0, 0.1, 1.0))
-@pytest.mark.parametrize("shot0", (0, 2 ** 32 - 900))
+@pytest.mark.parametrize("shot0", (0, _CROSS0))
 def test_sampling_across_passes(compiled, p, shot0):
-    """81 qubits x 1,000 shots is 21,000 blocks, so the numpy sampler runs
-    two passes, the second one partial; from ``2^32 - 900`` the shot
-    counter crosses 2^32 inside that second pass.  Both backends match the
-    word-by-word oracle, at p = 0 and p = 1 (``thr = 2^32``) too."""
-    n, per = 1000, pk._PASS // 21
+    """81 qubits x ``_PER + _PER // 2`` shots, with ``_PER = _PASS // 21``,
+    runs two numpy passes, the second one partial; from ``_CROSS0`` the
+    shot counter crosses 2^32 inside that second pass.  Both backends match
+    the word-by-word oracle, at p = 0 and p = 1 (``thr = 2^32``) too."""
+    per = pk._PASS // 21
+    n = per + per // 2
     assert per < n < 2 * per and (shot0 == 0 or per < 2 ** 32 - shot0 < n)
     want = pauli_bits_scalar(81, p, 2 ** 35 + 3, 9, shot0, n)
     for impl in (pk.sample_pauli_bits, compiled.sample_pauli_bits):
         got = impl(81, p, 2 ** 35 + 3, 9, shot0, n)
         for u, v in zip(got, want):
             assert u.dtype == np.uint8 and np.array_equal(u, v)
+
+
+def test_uint32_halves_follow_the_byte_order():
+    """The rounds read a uint64 product's halves through uint32 views; the
+    low half is index 0 of such a view only on little-endian hosts."""
+    assert pk._LO == (0 if sys.byteorder == "little" else 1) and pk._HI == 1 - pk._LO
+    halves = np.array([0x0123456789ABCDEF], dtype=np.uint64).view(np.uint32)
+    assert (halves[pk._LO], halves[pk._HI]) == (0x89ABCDEF, 0x01234567)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), stream=st.integers(0, 2 ** 32 - 1),
+       shot0=st.integers(2 ** 32 - 25, 2 ** 32 + 25), n_words=st.integers(1, 130),
+       n_shots=st.integers(0, 25), data=st.data())
+def test_philox_lanes_match_the_scalar_oracle(seed, stream, shot0, n_words, n_shots, data):
+    """Passes of one to twelve shots (``_PASS`` patched down from the
+    default, so that batches of a few dozen shots span pass boundaries and,
+    from near 2^32, the high word of the shot counter changes)
+    cover ``[0, n_shots)`` in order, hold at most ``_PASS`` blocks, and give
+    the oracle's uint32 words for every block of every shot."""
+    n_blocks = (n_words + 3) // 4
+    pass_blocks = data.draw(st.integers(n_blocks, 12 * n_blocks), label="pass_blocks")
+    key = (seed & 0xFFFFFFFF, seed >> 32)
+    with mock.patch.object(pk, "_PASS", pass_blocks):
+        passes = [(first, lanes.copy()) for first, lanes in
+                  pk.philox_lanes(n_words, seed, stream, shot0, n_shots)]
+    covered = 0
+    for first, lanes in passes:
+        assert first == covered and lanes.dtype == np.uint32
+        assert lanes.shape[:2] == (4, n_blocks) and 0 < lanes[0].size <= pass_blocks
+        covered += lanes.shape[-1]
+    assert covered == n_shots
+    for first, lanes in passes:
+        for i in range(lanes.shape[-1]):
+            s = shot0 + first + i
+            for j in range(n_blocks):
+                want = philox_scalar((s & 0xFFFFFFFF, s >> 32, j, stream), key)
+                assert lanes[:, j, i].tolist() == want, (first, i, j)
+
+
+_TIGHT_THRESHOLDS = (0, 1, 2, 3, 2 ** 32 - 1, 2 ** 32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(thr=st.sampled_from(_TIGHT_THRESHOLDS), seed=st.integers(0, 2 ** 64 - 1),
+       stream=st.integers(0, 2 ** 32 - 1), shot0=st.integers(2 ** 32 - 30, 2 ** 32 + 30),
+       n_data=st.integers(1, 130), n_shots=st.integers(0, 30))
+def test_sampler_matches_the_scalar_oracle_at_tight_thresholds(thr, seed, stream, shot0,
+                                                               n_data, n_shots):
+    """``p = thr / 2^32`` puts ``thr = round(p * 2^32)`` where the uint32
+    compares have the least room: no error at all, one to three words out
+    of 2^32, every word but one, and every word."""
+    p = thr / 2 ** 32
+    want = pauli_bits_scalar(n_data, p, seed, stream, shot0, n_shots)
+    got = pk.sample_pauli_bits(n_data, p, seed, stream, shot0, n_shots)
+    for u, v in zip(got, want):
+        assert u.dtype == np.uint8 and np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("thr", _TIGHT_THRESHOLDS)
+def test_sampler_classifies_words_at_the_thresholds(thr):
+    """Random words almost never land next to ``t1``, ``t2`` or ``thr``, so
+    the sampler is fed words that do, and 0 and 2^32 - 1: each is classified
+    as the oracle's word rule says."""
+    t1, t2 = thr // 3, 2 * thr // 3
+    words = sorted({w for c in (0, t1, t2, thr, 2 ** 32 - 1) for w in (c - 1, c, c + 1)
+                    if 0 <= w < 2 ** 32})
+
+    def lanes(n_words, seed, stream, shot0, n_shots):
+        yield 0, np.array(words, dtype=np.uint32).reshape(1, 1, -1).repeat(4, axis=0)
+
+    with mock.patch.object(pk, "philox_lanes", lanes):
+        x, z = pk.sample_pauli_bits(4, thr / 2 ** 32, 0, 0, 0, len(words))
+    assert list(zip(x[:, 0].tolist(), z[:, 0].tolist())) == \
+        [pauli_of_word(w, thr) for w in words]
 
 
 @pytest.mark.parametrize("n_data", (1, 9, 25, 81, 121))
