@@ -146,32 +146,63 @@ def benchmark(decoder, layout: Layout, eps_list, shots: int, seed: int):
     A shot fails when the predicted class differs from the true logical
     difference in either bit.  Shot ``k`` of point ``i`` is drawn from
     stream ``EVAL_STREAM_BASE + i``, so results are independent of how the
-    shots are split: each point runs in shards of at most ``_CHUNK`` shots
-    on the worker threads of :func:`scdec._threads.pool`, and its failure
-    counts are summed in shard order.
+    shots are split.  The call's shots are cut, in point order, into shards
+    of at most ``_CHUNK`` shots (``_shards``); a shard may span points, and
+    each runs its decoder once on the worker threads of
+    :func:`scdec._threads.pool`.  Failure counts are summed per point, in
+    shard order.  Spanning points lets a decoder with a fixed cost per call,
+    such as the MWPM DP, make fewer and larger calls on short points.
     """
     eps_list = check_settings(eps_list, shots, seed)
-    shards = ((i, shot0, min(_CHUNK, shots - shot0))
-              for i in range(len(eps_list)) for shot0 in range(0, shots, _CHUNK))
     failures = [0] * len(eps_list)
     count = partial(_shard_failures, decoder, layout, eps_list, seed)
     with _threads.pool() as ex:
-        for i, bad in ex.map(count, shards):
-            failures[i] += bad
+        for runs in ex.map(count, _shards(len(eps_list), shots)):
+            for i, bad in runs:
+                failures[i] += bad
     return [BenchmarkPoint.from_counts(eps, f, shots)
             for eps, f in zip(eps_list, failures)]
 
 
-def _shard_failures(decoder, layout: Layout, eps_list, seed: int, shard):
-    """``(i, failures)`` among the ``n`` shots from ``shot0`` of point ``i``,
-    where ``shard`` is ``(i, shot0, n)``."""
-    i, shot0, n = shard
-    x, z = sample_depolarizing_bits(layout, eps_list[i], seed,
-                                    EVAL_STREAM_BASE + i, shot0, n)
-    syn = compute_syndrome_bits(layout, x, z)
-    tx, tz = target_bits(layout, x, z, syn)
+def _shards(n_points: int, shots: int):
+    """The ``n_points * shots`` shots of a call in point order, cut into
+    shards of ``_CHUNK``: each shard a list of runs ``(i, shot0, n)``, the
+    ``n`` shots from ``shot0`` of point ``i``."""
+    total = n_points * shots
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
+        runs = []
+        while start < stop:
+            i, shot0 = divmod(start, shots)
+            n = min(stop - start, shots - shot0)
+            runs.append((i, shot0, n))
+            start += n
+        yield runs
+
+
+def _shard_failures(decoder, layout: Layout, eps_list, seed: int, runs):
+    """``(i, failures)`` of each run ``(i, shot0, n)`` of one shard.
+
+    Each run is sampled from its own point's stream; the decoder predicts
+    the shard's syndromes in one call."""
+    syns, targets = [], []
+    for i, shot0, n in runs:
+        x, z = sample_depolarizing_bits(layout, eps_list[i], seed,
+                                        EVAL_STREAM_BASE + i, shot0, n)
+        syn = compute_syndrome_bits(layout, x, z)
+        syns.append(syn)
+        targets.append(target_bits(layout, x, z, syn))
+    if len(runs) == 1:
+        syn, (tx, tz) = syns[0], targets[0]
+    else:
+        # joined along the shots of the kernels' ancilla-major layout
+        syn = np.concatenate([s.T for s in syns], axis=1).T
+        tx, tz = (np.concatenate(t) for t in zip(*targets))
     pred = decoder.predict(syn)
-    return i, int(np.count_nonzero((pred[:, 0] != tx) | (pred[:, 1] != tz)))
+    bad = (pred[:, 0] != tx) | (pred[:, 1] != tz)
+    ends = np.cumsum([n for _, _, n in runs])
+    return [(i, int(np.count_nonzero(bad[end - n:end])))
+            for (i, _, n), end in zip(runs, ends.tolist())]
 
 
 def pseudo_threshold(points):

@@ -15,6 +15,15 @@ w < v``, lies on a shortest u - v path (``_shadowed``): pairing u with w is
 then never heavier, so v is never that choice, and the DP skips it without
 changing any weight, parity or mask.
 
+Both sectors share one set of DP tables.  The 90-degree rotation of the
+lattice maps X-local ancilla u onto Z-local ancilla u and the one logical
+cut onto the other, so the two sectors have equal distances, boundary
+routes and path parity bits, array for array; only the data-qubit masks
+differ (``_tables`` checks this).  A key of either sector therefore gets
+the same DP values, with the same tie rule, and keys of both sectors can
+share one DP.  This rests on the rotation alone, not on the parity argument
+for odd d.
+
 One matcher serves both decoding paths.  Defects are held as uint64 keys
 over local ancilla indices and split into interaction components, matched
 one by one (``_split_components``).  A lone defect takes its boundary route
@@ -22,17 +31,20 @@ and a component of more than ``MATCH_DP_MAX`` (22) the networkx blossom.
 Every component of 2 to 22 defects goes to one level-by-level subset DP
 (``_levels``) of ``weight << 1 | cut_parity`` values, which reaches only
 the subsets left after shadowed partners are skipped.  Batch decoding
-(``cut_parities_batch``) solves a batch's unique components in slices and
-XORs their parities; the cut parity of a matching is the XOR of one
+(``cut_parities_batch``) packs both sectors' keys of a batch into one
+``_parities`` call: one dedupe, one component split and one DP, solved in
+slices, whose parities are split back into the two sectors.  The cut
+parity of a matching, the DP's or the blossom's, is the XOR of one
 precomputed bit per path, so it never builds a correction mask.
-Single-shot decoding (``decode_masks``) traces each component's matching
-back down the same DP's levels and XORs the paths' data-qubit masks.
+Single-shot decoding (``decode_masks``) runs one DP over both sectors'
+components and traces each component's matching back down its levels,
+XORing the paths' data-qubit masks of its own sector.
 Nothing is kept between calls but the per-distance tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -82,80 +94,103 @@ class _TypeTables:
 
 @lru_cache(maxsize=None)
 def _tables(d: int):
+    """(X-sector, Z-sector) decode tables of distance ``d``.  The Z tables
+    share every DP array of the X tables and hold only their own masks (see
+    the module docstring); raises if the sectors' distances, boundary routes
+    or parity bits ever differ."""
     layout = build_layout(d)
-    out = []
-    for t, anc_range in ((ANC_X, range(layout.n_anc_x)),
-                         (ANC_Z, range(layout.n_anc_x, layout.n_anc))):
-        offset = anc_range.start
-        k = len(anc_range)
-        nbrs = [[] for _ in range(k)]          # (neighbour, data) per node
-        bnd_data = [[] for _ in range(k)]      # direct boundary exits
-        for q in range(layout.n_data):
-            touching = [a - offset for a in range(offset, offset + k)
-                        if q in layout.anc_adjacency[a]]
-            if len(touching) == 2:
-                u, v = touching
-                nbrs[u].append((v, q))
-                nbrs[v].append((u, q))
-            elif len(touching) == 1:
-                bnd_data[touching[0]].append(q)
-        for lst in nbrs:
-            lst.sort()
+    tx = _type_tables(*_sector_paths(layout, ANC_X))
+    dist, bnd, path_mask, bnd_mask, cut_mask = _sector_paths(layout, ANC_Z)
+    single, pair = _parity_bits(path_mask, bnd_mask, cut_mask)
+    if not (np.array_equal(dist, tx.dist) and np.array_equal(bnd, tx.bnd)
+            and np.array_equal(single, tx.single & 1)
+            and np.array_equal(pair, tx.pair & 1)):
+        raise RuntimeError(f"d={d}: the Z sector's distances, boundary routes "
+                           f"or parity bits differ from the X sector's")
+    return tx, replace(tx, path_mask=path_mask, bnd_mask=bnd_mask,
+                       cut_mask=cut_mask)
 
-        dist = np.full((k, k), _INF, dtype=np.int32)
-        path_mask = [[0] * k for _ in range(k)]
-        for u in range(k):
-            dist[u, u] = 0
-            prev = {u: (None, None)}
-            order = [u]
-            head = 0
-            while head < len(order):
-                cur = order[head]
-                head += 1
-                for v, q in nbrs[cur]:
-                    if v not in prev:
-                        prev[v] = (cur, q)
-                        dist[u, v] = dist[u, cur] + 1
-                        order.append(v)
-            for v in range(k):
-                if v != u and v in prev:
-                    mask = 0
-                    node = v
-                    while node != u:
-                        node, q = prev[node]
-                        mask |= 1 << q
-                    path_mask[u][v] = mask
 
-        bnd = np.full(k, _INF, dtype=np.int32)
-        bnd_mask = [0] * k
-        for u in range(k):
-            best = (_INF, None, None)  # (weight, exit node, exit data)
-            for v in range(k):
-                if dist[u, v] < _INF and bnd_data[v]:
-                    cand = (int(dist[u, v]) + 1, v, bnd_data[v][0])
-                    if cand < best:
-                        best = cand
-            if best[1] is not None:
-                wt, v, q = best
-                bnd[u] = wt
-                bnd_mask[u] = path_mask[u][v] | (1 << q)
+def _sector_paths(layout: Layout, t: int):
+    """(dist, bnd, path_mask, bnd_mask, cut_mask) of the ancillas of type
+    ``t``, indexed locally: BFS shortest paths that scan neighbours in
+    ascending index, and the lowest-weight boundary exit."""
+    anc_range = (range(layout.n_anc_x) if t == ANC_X
+                 else range(layout.n_anc_x, layout.n_anc))
+    offset = anc_range.start
+    k = len(anc_range)
+    nbrs = [[] for _ in range(k)]          # (neighbour, data) per node
+    bnd_data = [[] for _ in range(k)]      # direct boundary exits
+    for q in range(layout.n_data):
+        touching = [a - offset for a in range(offset, offset + k)
+                    if q in layout.anc_adjacency[a]]
+        if len(touching) == 2:
+            u, v = touching
+            nbrs[u].append((v, q))
+            nbrs[v].append((u, q))
+        elif len(touching) == 1:
+            bnd_data[touching[0]].append(q)
+    for lst in nbrs:
+        lst.sort()
 
-        # X-ancilla matchings emit Z corrections, crossing the column cut;
-        # Z-ancilla matchings emit X corrections, crossing the row cut.
-        cut = layout.logical_cut_x if t == ANC_X else layout.logical_cut_z
-        cut_mask = sum(1 << q for q in cut)
-        out.append(_type_tables(dist, bnd, path_mask, bnd_mask, cut_mask))
-    return tuple(out)
+    dist = np.full((k, k), _INF, dtype=np.int32)
+    path_mask = [[0] * k for _ in range(k)]
+    for u in range(k):
+        dist[u, u] = 0
+        prev = {u: (None, None)}
+        order = [u]
+        head = 0
+        while head < len(order):
+            cur = order[head]
+            head += 1
+            for v, q in nbrs[cur]:
+                if v not in prev:
+                    prev[v] = (cur, q)
+                    dist[u, v] = dist[u, cur] + 1
+                    order.append(v)
+        for v in range(k):
+            if v != u and v in prev:
+                mask = 0
+                node = v
+                while node != u:
+                    node, q = prev[node]
+                    mask |= 1 << q
+                path_mask[u][v] = mask
+
+    bnd = np.full(k, _INF, dtype=np.int32)
+    bnd_mask = [0] * k
+    for u in range(k):
+        best = (_INF, None, None)  # (weight, exit node, exit data)
+        for v in range(k):
+            if dist[u, v] < _INF and bnd_data[v]:
+                cand = (int(dist[u, v]) + 1, v, bnd_data[v][0])
+                if cand < best:
+                    best = cand
+        if best[1] is not None:
+            wt, v, q = best
+            bnd[u] = wt
+            bnd_mask[u] = path_mask[u][v] | (1 << q)
+
+    # X-ancilla matchings emit Z corrections, crossing the column cut;
+    # Z-ancilla matchings emit X corrections, crossing the row cut.
+    cut = layout.logical_cut_x if t == ANC_X else layout.logical_cut_z
+    return dist, bnd, path_mask, bnd_mask, sum(1 << q for q in cut)
+
+
+def _parity_bits(path_mask: list, bnd_mask: list, cut_mask: int):
+    """int64 cut parity of each boundary route (k,) and each path (k, k)."""
+    single = np.array([(m & cut_mask).bit_count() & 1 for m in bnd_mask],
+                      dtype=np.int64)
+    pair = np.array([[(m & cut_mask).bit_count() & 1 for m in row]
+                     for row in path_mask], dtype=np.int64)
+    return single, pair
 
 
 def _type_tables(dist: np.ndarray, bnd: np.ndarray, path_mask: list,
                  bnd_mask: list, cut_mask: int) -> _TypeTables:
     """Complete one sector's tables from its paths and the logical cut."""
     k = len(bnd)
-    single_par = np.array([(m & cut_mask).bit_count() & 1 for m in bnd_mask],
-                          dtype=np.int64)
-    pair_par = np.array([[(m & cut_mask).bit_count() & 1 for m in row]
-                         for row in path_mask], dtype=np.int64)
+    single_par, pair_par = _parity_bits(path_mask, bnd_mask, cut_mask)
     d64 = dist.astype(np.int64)
     b64 = bnd.astype(np.int64)
     near = d64 < b64[:, None] + b64[None, :]
@@ -204,17 +239,20 @@ def _or_table(keys: np.ndarray, byte_bits: np.ndarray) -> np.ndarray:
 # bound is loose: on 1,000 d=9 shots at eps=0.3 one unsliced DP peaked at
 # 72 MiB RSS, against 57 MiB in slices (415 against 78 MiB before the
 # skipping).  Peak RSS of whole ``scdec eval --decoder mwpm`` runs (2-vCPU
-# x86-64 host, CPython 3.11, numpy 2.4, 16,384-shot shards on two worker
-# threads, so up to two DPs live at once): 71 MiB for the default d=9 grid
-# at 3,000 shots, 82 MiB for 8,000 d=9 shots at eps=0.3 (one shard, one
-# DP), 73 MiB for 200,000 d=9 shots at eps=0.1 and 78 MiB for 100,000 d=11
+# x86-64 host, CPython 3.11, numpy 2.4, 16,384-shot shards that may span
+# points, both sectors' keys in one DP, two worker threads, so up to two
+# DPs live at once): 80 MiB for the default d=9 grid at 3,000 shots (two
+# shards), 85 MiB for 8,000 d=9 shots at eps=0.3 (one shard, one DP),
+# 78 MiB for 200,000 d=9 shots at eps=0.1 and 80 MiB for 100,000 d=11
 # shots at eps=0.05.
 _SLICE_SUBSETS = 1 << 18
 
 
 def _parities(t: _TypeTables, keys: np.ndarray) -> np.ndarray:
     """uint8 cut parity of the minimum-weight correction of each uint64
-    defect key of one sector (bits are local ancilla indices)."""
+    defect key (bits are local ancilla indices).  Only the DP arrays of
+    ``t`` are read, never its masks, so the keys of both sectors of
+    ``_tables`` may be decoded in one call."""
     keys, key_inv = np.unique(keys, return_inverse=True)
     rows, comps = _split_components(keys, t.or_tab)
     uniq, inv = np.unique(comps, return_inverse=True)
@@ -223,8 +261,10 @@ def _parities(t: _TypeTables, keys: np.ndarray) -> np.ndarray:
     lone = n == 1               # a lone defect takes its boundary route
     val[lone] = t.single[_bit_index(uniq[lone])]
     for i in np.flatnonzero(n > MATCH_DP_MAX).tolist():
-        mask = _match_component(t, int(uniq[i]))
-        val[i] = (mask & t.cut_mask).bit_count() & 1
+        par = 0
+        for u, v in _blossom_routes(t, int(uniq[i])):
+            par ^= int(t.single[u] if v < 0 else t.pair[u, v]) & 1
+        val[i] = par
     # DP components in ascending size, in slices whose reachable-subset
     # bounds sum to at most _SLICE_SUBSETS (one component at least)
     order = np.flatnonzero(~lone & (n <= MATCH_DP_MAX))
@@ -324,20 +364,36 @@ def _levels(t: _TypeTables, comps: np.ndarray) -> list:
 def _corr_mask(t: _TypeTables, defect_key: int) -> int:
     """Data-qubit bit-int of the minimum-weight correction for one sector's
     defect pattern, encoded as a bit-int over local ancilla indices."""
-    _, comps = _split_components(np.array([defect_key], dtype=np.uint64),
-                                 t.or_tab)
-    n = _popcount(comps, t.pop8)
+    return _corr_masks([(t, defect_key)])[0]
+
+
+def _corr_masks(sectors) -> list:
+    """``_corr_mask`` of each ``(tables, defect_key)`` of ``sectors``, whose
+    tables share one set of DP arrays (as the two of ``_tables`` do).
+
+    One ``_levels`` call covers the DP components of every key: a subset's
+    optimum does not depend on which other subsets the DP reaches.  Each
+    component is then traced with its own sector's masks.
+    """
+    t0 = sectors[0][0]
+    if any(t.pair is not t0.pair for t, _ in sectors):
+        raise ValueError("the sectors do not share their DP tables")
+    keys = np.array([key for _, key in sectors], dtype=np.uint64)
+    rows, comps = _split_components(keys, t0.or_tab)
+    n = _popcount(comps, t0.pop8)
     small = comps[(n > 1) & (n <= MATCH_DP_MAX)]
-    levels = _levels(t, small) if small.size else None
-    mask = 0
-    for comp, k in zip(comps.tolist(), n.tolist()):
+    levels = _levels(t0, small) if small.size else None
+    masks = [0] * len(sectors)
+    for row, comp, k in zip(rows.tolist(), comps.tolist(), n.tolist()):
+        t = sectors[row][0]
         if k == 1:
-            mask ^= t.bnd_mask[comp.bit_length() - 1]
+            masks[row] ^= t.bnd_mask[comp.bit_length() - 1]
         elif k > MATCH_DP_MAX:
-            mask ^= _match_component(t, comp)
+            for u, v in _blossom_routes(t, comp):
+                masks[row] ^= t.bnd_mask[u] if v < 0 else t.path_mask[u][v]
         else:
-            mask ^= _trace(t, levels, comp)
-    return mask
+            masks[row] ^= _trace(t, levels, comp)
+    return masks
 
 
 def _trace(t: _TypeTables, levels: list, comp: int) -> int:
@@ -441,22 +497,18 @@ def _split_components(keys: np.ndarray, or_tab: np.ndarray):
     return np.concatenate(out_rows), np.concatenate(out_comps)
 
 
-def _match_component(t: _TypeTables, comp: int) -> int:
-    """Data-qubit bit-int of the blossom matching of a component of more
-    than ``MATCH_DP_MAX`` defects."""
+def _blossom_routes(t: _TypeTables, comp: int) -> list:
+    """Routes ``(u, v)`` of the blossom matching of a component of more
+    than ``MATCH_DP_MAX`` defects: the path u - v with u < v, or u's
+    boundary route where v is -1."""
     members = []
     while comp:
         members.append((comp & -comp).bit_length() - 1)
         comp &= comp - 1
     idx = np.array(members, dtype=np.intp)
     pair = _large_matching(t.dist[idx[:, None], idx], t.bnd[idx])
-    out = 0
-    for i, j in enumerate(pair.tolist()):
-        if j < 0:
-            out ^= t.bnd_mask[members[i]]
-        elif j > i:
-            out ^= t.path_mask[members[i]][members[j]]
-    return out
+    return [(members[i], -1 if j < 0 else members[j])
+            for i, j in enumerate(pair.tolist()) if j < 0 or j > i]
 
 
 def _large_matching(dist: np.ndarray, bnd: np.ndarray) -> np.ndarray:
@@ -507,20 +559,21 @@ class MwpmDecoder:
         row = np.asarray(syn_bits)[None, :]
         key_x = int(_pack_bits(row[:, :nx])[0])
         key_z = int(_pack_bits(row[:, nx:])[0])
-        zmask = _corr_mask(self._tx, key_x)   # X defects -> Z corrections
-        xmask = _corr_mask(self._tz, key_z)   # Z defects -> X corrections
+        # X defects -> Z corrections, Z defects -> X corrections
+        zmask, xmask = _corr_masks([(self._tx, key_x), (self._tz, key_z)])
         return zmask, xmask
 
     def cut_parities_batch(self, syn: np.ndarray):
         """(lz, lx) correction cut parities for a syndrome batch.
 
         ``lz`` comes from the Z-plane corrections (X-ancilla matchings) and
-        ``lx`` from the X-plane corrections.
+        ``lx`` from the X-plane corrections.  Both sectors' keys go through
+        one ``_parities`` call on the shared DP tables.
         """
         nx = self.layout.n_anc_x
-        lz = _parities(self._tx, _pack_bits(syn[:, :nx]))
-        lx = _parities(self._tz, _pack_bits(syn[:, nx:]))
-        return lz, lx
+        par = _parities(self._tx, np.concatenate(
+            [_pack_bits(syn[:, :nx]), _pack_bits(syn[:, nx:])]))
+        return par[:len(syn)], par[len(syn):]
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:

@@ -96,8 +96,12 @@ def test_failure_counting_is_xz_symmetric():
 
 # ------------------------------------------------------ sharded benchmark --
 
-# 17,500 shots: an uneven last shard at both 2^14 and 1,000 shots a shard
-_SHOTS = 17_500
+# (shards of _CHUNK shots, shots per point): at 17,500 shots a point a
+# shard spans two points at both 2^14 and 1,000 shots a shard; at 700 every
+# shard of 1,000 does
+_SPLITS = (pytest.param(1 << 14, 17_500, id="16384"),
+           pytest.param(1000, 17_500, id="1000"),
+           pytest.param(1000, 700, id="1000-700"))
 _EPS = [0.04, 0.08, 0.12]
 
 
@@ -120,27 +124,29 @@ def _csv_bytes(path, points, layout, name) -> bytes:
 
 @pytest.fixture(scope="module")
 def serial_curves(tmp_path_factory):
-    """Curve CSV bytes of each case, every point sampled and decoded as one
-    batch on the calling thread."""
+    """Curve CSV bytes of each case and shot count, every point sampled
+    and decoded as one batch on the calling thread."""
     path = tmp_path_factory.mktemp("serial") / "curve.csv"
     out = {}
-    for name, decoder, layout in _curve_cases():
-        points = []
-        for i, eps in enumerate(_EPS):
-            x, z = sample_depolarizing_bits(layout, eps, 9, EVAL_STREAM_BASE + i, 0, _SHOTS)
-            syn = compute_syndrome_bits(layout, x, z)
-            tx, tz = train.target_bits(layout, x, z, syn)
-            pred = decoder.predict(syn)
-            bad = np.count_nonzero((pred[:, 0] != tx) | (pred[:, 1] != tz))
-            points.append(BenchmarkPoint.from_counts(eps, int(bad), _SHOTS))
-        out[name] = _csv_bytes(path, points, layout, name)
+    for shots in sorted({split.values[1] for split in _SPLITS}):
+        for name, decoder, layout in _curve_cases():
+            points = []
+            for i, eps in enumerate(_EPS):
+                x, z = sample_depolarizing_bits(layout, eps, 9, EVAL_STREAM_BASE + i,
+                                                0, shots)
+                syn = compute_syndrome_bits(layout, x, z)
+                tx, tz = train.target_bits(layout, x, z, syn)
+                pred = decoder.predict(syn)
+                bad = np.count_nonzero((pred[:, 0] != tx) | (pred[:, 1] != tz))
+                points.append(BenchmarkPoint.from_counts(eps, int(bad), shots))
+            out[name, shots] = _csv_bytes(path, points, layout, name)
     return out
 
 
-@pytest.mark.parametrize("chunk", [1 << 14, 1000])
+@pytest.mark.parametrize("chunk, shots", _SPLITS)
 @pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
 def test_curves_do_not_depend_on_workers_or_shards(monkeypatch, tmp_path, serial_curves,
-                                                   n_workers, chunk):
+                                                   n_workers, chunk, shots):
     """8 workers is more threads than this host has CPUs; a short switch
     interval interleaves the workers' bytecode as finely as it can."""
     monkeypatch.setattr(_threads, "workers", lambda: n_workers)
@@ -149,11 +155,27 @@ def test_curves_do_not_depend_on_workers_or_shards(monkeypatch, tmp_path, serial
     sys.setswitchinterval(1e-5)
     try:
         for name, decoder, layout in _curve_cases():
-            points = benchmark(decoder, layout, _EPS, _SHOTS, seed=9)
+            points = benchmark(decoder, layout, _EPS, shots, seed=9)
             assert (_csv_bytes(tmp_path / "curve.csv", points, layout, name)
-                    == serial_curves[name])
+                    == serial_curves[name, shots])
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("chunk, shots", _SPLITS)
+def test_shards_cover_the_points_in_order(monkeypatch, chunk, shots):
+    """The shards' runs list every shot of every point once, in point order;
+    every shard but the last holds ``_CHUNK`` shots, and at these splits
+    some shards span two points."""
+    monkeypatch.setattr(eval_mod, "_CHUNK", chunk)
+    shards = list(eval_mod._shards(len(_EPS), shots))
+    runs = [run for shard in shards for run in shard]
+    assert [(i, shot) for i, shot0, n in runs for shot in range(shot0, shot0 + n)] \
+        == [(i, shot) for i in range(len(_EPS)) for shot in range(shots)]
+    sizes = [sum(n for _, _, n in shard) for shard in shards]
+    assert set(sizes[:-1]) == {chunk} and 0 < sizes[-1] <= chunk
+    assert any(len({i for i, _, _ in shard}) == 2 for shard in shards)
+    assert all(n > 0 for _, _, n in runs)
 
 
 class _SecondShardFails(TrivialDecoder):

@@ -166,13 +166,15 @@ def test_sampler_classifies_words_at_the_thresholds(thr):
 
 @pytest.mark.parametrize("n_data", (1, 9, 25, 81, 121))
 def test_sampling_edge_cases(compiled, n_data):
-    """Shot counts around a byte and a word of shots, none at all, and more
-    than one pass; one qubit up to d=11's 121; p = 0 and p = 1.  From
-    ``2^32 - 3`` the high word of the shot counter changes inside the first
-    pass.  Shot ``i`` does not depend on how many follow it, so each count
-    is checked against a prefix of one oracle run."""
+    """Shot counts around a byte and a word of shots, none at all, and one
+    pass of the numpy sampler and a word of shots more, so every width
+    crosses a pass boundary; one qubit up to d=11's 121; p = 0 and p = 1.
+    From ``2^32 - 3`` the high word of the shot counter changes inside the
+    first pass.  Shot ``i`` does not depend on how many follow it, so each
+    count is checked against a prefix of one oracle run."""
     seed, stream, shot0 = 2 ** 33 + 5, 21, 2 ** 32 - 3
-    counts = (0, 1, 7, 8, 9, 63, 64, 65, 5000)
+    per_pass = pk._PASS // ((n_data + 3) // 4)
+    counts = (0, 1, 7, 8, 9, 63, 64, 65, per_pass, per_pass + 65)
     for p in (0.0, 1.0):
         want = pauli_bits_scalar(n_data, p, seed, stream, shot0, max(counts))
         for n in counts:

@@ -284,7 +284,7 @@ def test_decoder_caching_consistent_with_decode():
 _LATTICE_SAMPLES = ((5, 0.05, 200), (5, 0.3, 200), (7, 0.1, 200), (7, 0.3, 60),
                     (9, 0.05, 100), (9, 0.2, 40), (9, 0.3, 120))
 # The exhaustive oracle visits 2^k subsets; components of 15..22 defects
-# are skipped here and held to ``_match_component`` below.
+# are skipped here and held to the reference matcher below.
 _ORACLE_MAX = 14
 
 
@@ -535,6 +535,80 @@ def test_lattice_shadow_tables(d):
                     w = 8 * j + low
                     want[u, j, b] = want[u, j, b & (b - 1)] | (sets[u][w] if w < k else 0)
         assert (tab.shadow == want).all(), d
+
+
+_DP_FIELDS = ("dist", "bnd", "inter_keys", "or_tab", "shadow", "single", "pair",
+              "pop8", "reach")
+
+
+@pytest.mark.parametrize("d", (3, 5, 7, 9, 11))
+def test_sectors_share_dp_tables(d):
+    """Built on its own, the Z sector's every DP array equals the X
+    sector's: the rotation maps X-local ancilla u onto Z-local ancilla u.
+    ``_tables`` hands the Z sector the X sector's arrays and its own masks."""
+    from scdec.lattice import ANC_Z
+    from scdec.mwpm import _sector_paths, _tables, _type_tables
+
+    lay = build_layout(d)
+    assert [lay.rot_anc[u] for u in range(lay.n_anc_x)] == \
+        list(range(lay.n_anc_x, lay.n_anc))
+    tx, tz = _tables(d)
+    own = _type_tables(*_sector_paths(lay, ANC_Z))
+    for name in _DP_FIELDS:
+        assert np.array_equal(getattr(own, name), getattr(tx, name)), (d, name)
+        assert getattr(tz, name) is getattr(tx, name), (d, name)
+    for name in ("path_mask", "bnd_mask", "cut_mask"):
+        assert getattr(tz, name) == getattr(own, name), (d, name)
+        assert getattr(tz, name) != getattr(tx, name), (d, name)
+
+
+def test_tables_raise_when_the_sectors_differ(monkeypatch):
+    """A Z sector whose boundary routes differ from the X sector's cannot
+    share its DP, and ``_tables`` says so instead of sharing it."""
+    from scdec import mwpm
+    from scdec.lattice import ANC_Z
+
+    paths = mwpm._sector_paths
+
+    def bent(layout, t):
+        dist, bnd, path_mask, bnd_mask, cut_mask = paths(layout, t)
+        if t == ANC_Z:
+            bnd = bnd.copy()
+            bnd[0] += 1
+        return dist, bnd, path_mask, bnd_mask, cut_mask
+
+    monkeypatch.setattr(mwpm, "_sector_paths", bent)
+    with pytest.raises(RuntimeError, match="Z sector"):
+        mwpm._tables.__wrapped__(3)
+
+
+@pytest.mark.parametrize("d, eps, n", ((3, 0.2, 400), (5, 0.15, 400), (7, 0.1, 300),
+                                       (9, 0.1, 200), (9, 0.3, 120)))
+def test_merged_batch_equals_per_sector_parities(d, eps, n):
+    """``cut_parities_batch`` decodes both sectors' keys in one DP; each
+    sector decoded on its own, against Z tables built apart from the X
+    sector's, gets the same parities, and so does the cut of each key's
+    single-shot correction mask.  At d=9, eps=0.3 the batch holds
+    components above MATCH_DP_MAX, whose blossom parity comes from the
+    paths' parity bits."""
+    from scdec.lattice import ANC_Z
+    from scdec.mwpm import (_corr_mask, _pack_bits, _parities, _popcount,
+                            _sector_paths, _split_components, _tables,
+                            _type_tables)
+
+    lay, syn = _sampled_syndromes(d, eps, n, seed=d)
+    nx = lay.n_anc_x
+    tx = _tables(d)[0]
+    tz = _type_tables(*_sector_paths(lay, ANC_Z))
+    lz, lx = MwpmDecoder(lay).cut_parities_batch(syn)
+    for tab, keys, got in ((tx, _pack_bits(syn[:, :nx]), lz),
+                           (tz, _pack_bits(syn[:, nx:]), lx)):
+        assert got.tolist() == _parities(tab, keys).tolist()
+        assert got.tolist() == [(_corr_mask(tab, key) & tab.cut_mask).bit_count() & 1
+                                for key in keys.tolist()]
+    if eps == 0.3:
+        _, comps = _split_components(_pack_bits(syn[:, nx:]), tz.or_tab)
+        assert _popcount(comps, tz.pop8).max() > MATCH_DP_MAX
 
 
 def test_shadow_pruning_halves_the_d9_subsets():
