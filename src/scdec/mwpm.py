@@ -24,18 +24,17 @@ the same DP values, with the same tie rule, and keys of both sectors can
 share one DP.  This rests on the rotation alone, not on the parity argument
 for odd d.
 
-One matcher serves both decoding paths.  Defects are held as uint64 keys
-over local ancilla indices and split into interaction components, matched
-one by one (``_split_components``).  A lone defect takes its boundary route
-and a component of more than ``MATCH_DP_MAX`` (22) the networkx blossom.
-Every component of 2 to 22 defects goes to one level-by-level subset DP
-(``_levels``) of ``weight << 1 | cut_parity`` values, which reaches only
-the subsets left after shadowed partners are skipped.  Batch decoding
-(``cut_parities_batch``) packs both sectors' keys of a batch into one
-``_parities`` call: one dedupe, one component split and one DP, solved in
-slices, whose parities are split back into the two sectors.  The cut
-parity of a matching, the DP's or the blossom's, is the XOR of one
-precomputed bit per path, so it never builds a correction mask.
+One exact matcher serves both decoding paths.  Defects are held as uint64
+keys over local ancilla indices and split into interaction components,
+matched one by one (``_split_components``).  A lone defect takes its
+boundary route; every component of 2 or more defects goes to one
+level-by-level subset DP (``_levels``) of ``weight << 1 | cut_parity``
+values, which reaches only the subsets left after shadowed partners are
+skipped.  Batch decoding (``cut_parities_batch``) packs both sectors' keys
+of a batch into one ``_parities`` call: one dedupe, one component split and
+one DP, solved in slices, whose parities are split back into the two
+sectors.  The cut parity of a matching is the XOR of one precomputed bit
+per path, so it never builds a correction mask.
 Single-shot decoding (``decode_masks``) runs one DP over both sectors'
 components and traces each component's matching back down its levels,
 XORing the paths' data-qubit masks of its own sector.
@@ -59,14 +58,6 @@ _INF = 10 ** 9
 _KEY_BITS = 64
 MAX_DISTANCE = 11
 
-# Largest component the subset DP takes; larger ones go to the blossom.  The
-# DP reaches at most F(k+2) subsets of k defects (Fibonacci), 46,368 at 22.
-MATCH_DP_MAX = 22
-
-
-class NoPerfectMatching(ValueError):
-    """The graph admits no perfect matching."""
-
 
 @dataclass(frozen=True)
 class _TypeTables:
@@ -88,8 +79,8 @@ class _TypeTables:
     single: np.ndarray        # (k,) int64 value of u's boundary route
     pair: np.ndarray          # (k, k) int64 value of the path u - v
     pop8: np.ndarray          # (256,) int64 popcount of a byte
-    reach: np.ndarray         # (MATCH_DP_MAX + 1,) int64: F(n + 2), the most
-                              # subsets the DP reaches from n defects
+    reach: np.ndarray         # (k + 1,) int64: F(n + 2), the most subsets
+                              # the DP reaches from n defects
 
 
 @lru_cache(maxsize=None)
@@ -207,7 +198,7 @@ def _type_tables(dist: np.ndarray, bnd: np.ndarray, path_mask: list,
                & (ix[:, None, None] < ix[None, :, None])
                & (ix[None, :, None] < ix[None, None, :]))
     byte_bits = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)
-    fib = np.ones(MATCH_DP_MAX + 2, dtype=np.int64)   # F(i + 1)
+    fib = np.ones(k + 2, dtype=np.int64)   # F(i + 1); F(62) (k = 60) fits
     for i in range(2, fib.size):
         fib[i] = fib[i - 1] + fib[i - 2]
     return _TypeTables(
@@ -238,13 +229,17 @@ def _or_table(keys: np.ndarray, byte_bits: np.ndarray) -> np.ndarray:
 # the next.  F(n + 2) ignores the shadowed partners the DP skips, so the
 # bound is loose: on 1,000 d=9 shots at eps=0.3 one unsliced DP peaked at
 # 72 MiB RSS, against 57 MiB in slices (415 against 78 MiB before the
-# skipping).  Peak RSS of whole ``scdec eval --decoder mwpm`` runs (2-vCPU
-# x86-64 host, CPython 3.11, numpy 2.4, 16,384-shot shards that may span
-# points, both sectors' keys in one DP, two worker threads, so up to two
-# DPs live at once): 80 MiB for the default d=9 grid at 3,000 shots (two
-# shards), 85 MiB for 8,000 d=9 shots at eps=0.3 (one shard, one DP),
-# 78 MiB for 200,000 d=9 shots at eps=0.1 and 80 MiB for 100,000 d=11
-# shots at eps=0.05.
+# skipping).  A component of 26 or more defects passes this bound alone and
+# runs alone, yet reaches few subsets: a fully set d=11 sector (60 defects)
+# reaches 8,421, at most 222 in one level, and a seeded search over 10,000
+# d=11 keys of defect density 0.05 to 0.6, steered towards the largest
+# reach, found at most 9,224, at most 582 in one level (tests/test_mwpm.py
+# checks the per-level limit).  Peak RSS of whole ``scdec eval --decoder
+# mwpm`` runs (2-vCPU x86-64 host, CPython 3.11, numpy 2.4, 16,384-shot
+# shards that may span points, both sectors' keys in one DP, two worker
+# threads, so up to two DPs live at once): 55 MiB for the default d=9
+# grid at 3,000 shots, 52 MiB for 20,000 d=9 shots at eps=0.3 and
+# 54 MiB for the default d=11 grid at 2,000 shots.
 _SLICE_SUBSETS = 1 << 18
 
 
@@ -260,14 +255,9 @@ def _parities(t: _TypeTables, keys: np.ndarray) -> np.ndarray:
     val = np.empty(uniq.size, dtype=np.int64)
     lone = n == 1               # a lone defect takes its boundary route
     val[lone] = t.single[_bit_index(uniq[lone])]
-    for i in np.flatnonzero(n > MATCH_DP_MAX).tolist():
-        par = 0
-        for u, v in _blossom_routes(t, int(uniq[i])):
-            par ^= int(t.single[u] if v < 0 else t.pair[u, v]) & 1
-        val[i] = par
     # DP components in ascending size, in slices whose reachable-subset
     # bounds sum to at most _SLICE_SUBSETS (one component at least)
-    order = np.flatnonzero(~lone & (n <= MATCH_DP_MAX))
+    order = np.flatnonzero(~lone)
     order = order[np.argsort(n[order], kind="stable")]
     bound = np.cumsum(t.reach[n[order]])
     start = 0
@@ -284,7 +274,7 @@ def _parities(t: _TypeTables, keys: np.ndarray) -> np.ndarray:
 
 def _solve(t: _TypeTables, comps: np.ndarray) -> np.ndarray:
     """``weight << 1 | cut_parity`` of the optimal matching of each subset
-    in ``comps`` (2 to MATCH_DP_MAX defects)."""
+    in ``comps`` (2 or more defects each)."""
     n = _popcount(comps, t.pop8)
     out = np.empty(comps.size, dtype=np.int64)
     for m, (subs, vals) in enumerate(_levels(t, comps)):
@@ -295,7 +285,7 @@ def _solve(t: _TypeTables, comps: np.ndarray) -> np.ndarray:
 
 def _levels(t: _TypeTables, comps: np.ndarray) -> list:
     """``levels[m] = (subsets, values)``, m from 0 to the largest popcount
-    in ``comps`` (2 to MATCH_DP_MAX defects each): the sorted distinct
+    in ``comps`` (2 or more defects each): the sorted distinct
     subsets of m defects that the DP over ``comps`` reaches, and the
     ``weight << 1 | cut_parity`` of each one's optimal matching.  Levels 0
     and 1 list the empty set and every lone defect.
@@ -381,16 +371,13 @@ def _corr_masks(sectors) -> list:
     keys = np.array([key for _, key in sectors], dtype=np.uint64)
     rows, comps = _split_components(keys, t0.or_tab)
     n = _popcount(comps, t0.pop8)
-    small = comps[(n > 1) & (n <= MATCH_DP_MAX)]
-    levels = _levels(t0, small) if small.size else None
+    multi = comps[n > 1]
+    levels = _levels(t0, multi) if multi.size else None
     masks = [0] * len(sectors)
     for row, comp, k in zip(rows.tolist(), comps.tolist(), n.tolist()):
         t = sectors[row][0]
         if k == 1:
             masks[row] ^= t.bnd_mask[comp.bit_length() - 1]
-        elif k > MATCH_DP_MAX:
-            for u, v in _blossom_routes(t, comp):
-                masks[row] ^= t.bnd_mask[u] if v < 0 else t.path_mask[u][v]
         else:
             masks[row] ^= _trace(t, levels, comp)
     return masks
@@ -495,50 +482,6 @@ def _split_components(keys: np.ndarray, or_tab: np.ndarray):
         keep = rest != 0
         rows, rest = rows[keep], rest[keep]
     return np.concatenate(out_rows), np.concatenate(out_comps)
-
-
-def _blossom_routes(t: _TypeTables, comp: int) -> list:
-    """Routes ``(u, v)`` of the blossom matching of a component of more
-    than ``MATCH_DP_MAX`` defects: the path u - v with u < v, or u's
-    boundary route where v is -1."""
-    members = []
-    while comp:
-        members.append((comp & -comp).bit_length() - 1)
-        comp &= comp - 1
-    idx = np.array(members, dtype=np.intp)
-    pair = _large_matching(t.dist[idx[:, None], idx], t.bnd[idx])
-    return [(members[i], -1 if j < 0 else members[j])
-            for i, j in enumerate(pair.tolist()) if j < 0 or j > i]
-
-
-def _large_matching(dist: np.ndarray, bnd: np.ndarray) -> np.ndarray:
-    """Blossom fallback when the defect count exceeds the DP cap.
-
-    Matches the complete graph of defects ``0 .. k-1`` and one virtual
-    boundary node ``k + i`` per defect ``i``: defect pairs weigh ``dist``,
-    boundary pairs 0 and a defect with its own boundary node ``bnd``.
-    Which of several equal-weight matchings networkx returns depends on the
-    order nodes and edges are inserted, so that order is fixed.
-    """
-    import networkx as nx
-
-    k = len(bnd)
-    g = nx.Graph()
-    g.add_nodes_from(range(2 * k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            g.add_edge(i, j, weight=int(dist[i][j]))
-            g.add_edge(k + i, k + j, weight=0)
-        g.add_edge(i, k + i, weight=int(bnd[i]))
-    matching = nx.min_weight_matching(g)
-    if len(matching) != k:
-        raise NoPerfectMatching("no perfect matching exists")
-    pair = np.full(k, -1, dtype=np.int32)
-    for u, v in matching:
-        if u < k and v < k:
-            pair[u] = v
-            pair[v] = u
-    return pair
 
 
 class MwpmDecoder:

@@ -10,9 +10,6 @@ from fractions import Fraction
 
 import numpy as np
 
-# The batch DP's defect cap; ``match_defects`` refuses larger inputs.
-from scdec.mwpm import MATCH_DP_MAX
-
 
 def dense_forward(w, syn, transfer):
     """Hand-rolled forward pass with explicit loops (no matmul)."""
@@ -219,15 +216,13 @@ def match_defects(dist: np.ndarray, bnd: np.ndarray) -> np.ndarray:
     ``dist[u, v] >= bnd[u] + bnd[v]`` is never tried: the optimum over the
     rest is at most ``bnd[v]`` plus the optimum without ``v``, so such a
     pair never strictly beats the boundary option and skipping it changes
-    no choice.  ``k <= MATCH_DP_MAX`` is required.
+    no choice.
     """
     dist = np.asarray(dist, dtype=np.int64)
     bnd = np.asarray(bnd, dtype=np.int64)
     k = len(bnd)
     if k == 0:
         return np.empty(0, dtype=np.int32)
-    if k > MATCH_DP_MAX:
-        raise ValueError(f"defect count {k} exceeds DP cap {MATCH_DP_MAX}")
 
     bnd_l = bnd.tolist()
     # partners[u]: (v, bit of v, weight) for each v > u that can beat the

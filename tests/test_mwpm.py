@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from scdec.lattice import build_layout, logical_class
-from scdec.mwpm import MATCH_DP_MAX, MwpmDecoder, _large_matching, decode_mwpm
+from scdec.mwpm import MwpmDecoder, decode_mwpm
 from scdec.noise import Syndrome, compute_syndrome_bits, sample_depolarizing_bits
 
-import oracles
 from oracles import (
     brute_force_boundary_matching,
     match_defects,
@@ -48,52 +47,9 @@ def _reference_mask(tab, defects):
     return mask
 
 
-# ------------------------------------------------------ blossom fallback --
-
-def test_large_graph_path_agrees_with_dp():
-    """The blossom route, forced on small boundary instances with weights in
-    0..3 so that ties are common, finds the subset DP's minimum weight."""
-    rng = np.random.default_rng(13)
-    for k in range(1, 11):
-        for trial in range(20):
-            d = rng.integers(0, 4, size=(k, k))
-            d = np.triu(d, 1) + np.triu(d, 1).T
-            bnd = rng.integers(0, 4, size=k)
-            got = match_weight(d, bnd, _large_matching(d, bnd))
-            assert got == match_weight(d, bnd, subset_dp_matching(d, bnd)), (k, trial)
-
-
-def test_large_matching_weight_equals_uncapped_dp_on_lattice_components(monkeypatch):
-    """The components the decoder sends to the blossom (more than
-    MATCH_DP_MAX defects) get the weight the top-down DP finds without its
-    cap: the 8 smallest of 200 d=9 syndromes at eps = 0.3."""
-    from scdec.mwpm import _pack_bits, _split_components, _tables
-
-    lay = build_layout(9)
-    xb, zb = sample_depolarizing_bits(lay, 0.3, 23, 0, 0, 200)
-    syn = compute_syndrome_bits(lay, xb, zb)
-    nx = lay.n_anc_x
-    large = []
-    for tab, cols in zip(_tables(9), (syn[:, :nx], syn[:, nx:])):
-        _, comps = _split_components(_pack_bits(cols), tab.or_tab)
-        for comp in comps.tolist():
-            members = _bits(comp)
-            if len(members) > MATCH_DP_MAX:
-                large.append((len(members), members, tab))
-    large.sort(key=lambda item: item[:2])
-    assert len(large) >= 8
-    monkeypatch.setattr(oracles, "MATCH_DP_MAX", 64)
-    for _, members, tab in large[:8]:
-        idx = np.array(members, dtype=np.intp)
-        dist = tab.dist[np.ix_(idx, idx)]
-        bnd = tab.bnd[idx]
-        want = match_weight(dist, bnd, match_defects(dist, bnd))
-        assert match_weight(dist, bnd, _large_matching(dist, bnd)) == want, members
-
-
 # ----------------------------------------------------- defect DP matcher --
 
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 
@@ -176,8 +132,6 @@ def test_python_matcher_pairs_equal_subset_dp_on_lattice_components():
     checked = 0
     for tab, defects in _lattice_defect_sets():
         for comp in union_find_components(defects, tab.dist, tab.bnd):
-            if len(comp) > MATCH_DP_MAX:
-                continue  # matched by the blossom fallback, not the DP
             idx = np.array(comp, dtype=np.intp)
             dist = tab.dist[np.ix_(idx, idx)]
             bnd = tab.bnd[idx]
@@ -280,11 +234,11 @@ def test_decoder_caching_consistent_with_decode():
 # ------------------------------------------------------- batch decoding --
 
 # Sampled syndromes with components of 12 and 13 defects and, at d=9,
-# eps=0.3, of more than MATCH_DP_MAX.
+# eps=0.3, of 23 to 25.
 _LATTICE_SAMPLES = ((5, 0.05, 200), (5, 0.3, 200), (7, 0.1, 200), (7, 0.3, 60),
                     (9, 0.05, 100), (9, 0.2, 40), (9, 0.3, 120))
-# The exhaustive oracle visits 2^k subsets; components of 15..22 defects
-# are skipped here and held to the reference matcher below.
+# The exhaustive oracle visits 2^k subsets; larger components are held to
+# the reference matcher ``match_defects``.
 _ORACLE_MAX = 14
 
 
@@ -296,19 +250,17 @@ def _sampled_syndromes(d, eps, n, seed=29):
 
 def _reference_correction(tab, defects, sizes):
     """(data mask, cut parity) from matching each component independently:
-    the exhaustive subset DP up to _ORACLE_MAX defects, the blossom above
-    MATCH_DP_MAX; None if a component lies in between."""
+    the exhaustive subset DP up to _ORACLE_MAX defects, the reference
+    matcher above."""
     mask = 0
     for comp in union_find_components(defects, tab.dist, tab.bnd):
         k = len(comp)
-        if _ORACLE_MAX < k <= MATCH_DP_MAX:
-            return None
         sizes.append(k)
         idx = np.array(comp, dtype=np.intp)
         dist = tab.dist[np.ix_(idx, idx)]
         bnd = tab.bnd[idx]
         pair = (subset_dp_matching(dist, bnd) if k <= _ORACLE_MAX
-                else _large_matching(dist, bnd).tolist())
+                else match_defects(dist, bnd).tolist())
         mask ^= _pair_mask(tab, comp, pair)
     return mask, (mask & tab.cut_mask).bit_count() & 1
 
@@ -330,19 +282,17 @@ def test_batch_and_single_shot_equal_independent_reference():
                     _tables(d), (row[:nx], row[nx:]), (lz[i], lx[i]))):
                 want = _reference_correction(
                     tab, np.flatnonzero(bits).tolist(), sizes)
-                if want is None:
-                    continue
                 assert int(par) == want[1], (d, eps, i, t)
                 assert masks[t] == want[0], (d, eps, i, t)
     assert sizes.count(12) and sizes.count(13)
-    assert max(sizes) > MATCH_DP_MAX
+    assert max(sizes) > 22
 
 
-# Seeded syndromes whose components take every size from 1 to MATCH_DP_MAX,
-# and a few sizes above it, with the sha256 of their ``decode_masks``.
+# Seeded syndromes whose components take every size from 1 to 22, and a
+# few sizes above, with the sha256 of their ``decode_masks``.
 _PINNED_SAMPLES = ((3, 0.3, 200), (5, 0.3, 200), (7, 0.25, 100), (9, 0.2, 60),
                    (11, 0.15, 16))
-_PINNED_MASKS = "c5d25907850d3e6e3f3a0e4298b3af401bbb203db1652aa2e634791485b37612"
+_PINNED_MASKS = "6ab106c75ce8de4ee7cf96cd33828103d68e4e9963aa91c23ea7bd9d20617987"
 
 
 def test_single_shot_masks_pinned():
@@ -360,7 +310,7 @@ def test_single_shot_masks_pinned():
         for tab, keys in _sector_keys(d, syn):
             _, comps = _split_components(keys, tab.or_tab)
             sizes.update(_popcount(comps, tab.pop8).tolist())
-    assert set(range(1, MATCH_DP_MAX + 1)) <= sizes and max(sizes) > MATCH_DP_MAX
+    assert set(range(1, 23)) <= sizes and max(sizes) > 22
     assert digest.hexdigest() == _PINNED_MASKS
 
 
@@ -422,9 +372,10 @@ _ORACLE_SAMPLES = _LATTICE_SAMPLES + ((3, 0.3, 300), (11, 0.05, 60), (11, 0.12, 
 
 
 def test_batch_dp_equals_match_component_on_every_component():
-    """Every component of 2 to MATCH_DP_MAX defects, decoded as a key of its
-    own, gets the cut parity (batch DP) and the correction mask (single-shot
-    traceback) of the reference matcher's pair array."""
+    """Every component of 2 or more defects, decoded as a key of its own,
+    gets the cut parity (batch DP) and the correction mask (single-shot
+    traceback) of the reference matcher's pair array: every size from 2 to
+    22 and some above."""
     from scdec.mwpm import _corr_mask, _parities
 
     sizes = set()
@@ -433,14 +384,14 @@ def test_batch_dp_equals_match_component_on_every_component():
         for tab, keys in _sector_keys(d, syn):
             comps = sorted({sum(1 << u for u in c) for key in keys.tolist()
                             for c in union_find_components(_bits(key), tab.dist, tab.bnd)
-                            if 2 <= len(c) <= MATCH_DP_MAX})
+                            if len(c) >= 2})
             want = [_reference_mask(tab, _bits(c)) for c in comps]
             got = _parities(tab, np.array(comps, dtype=np.uint64))
             assert got.tolist() == [(m & tab.cut_mask).bit_count() & 1
                                     for m in want], (d, eps)
             assert [_corr_mask(tab, c) for c in comps] == want, (d, eps)
             sizes.update(c.bit_count() for c in comps)
-    assert sizes == set(range(2, MATCH_DP_MAX + 1))
+    assert set(range(2, 23)) <= sizes and max(sizes) > 22
 
 
 def test_batch_dp_keeps_the_tie_rule_on_random_instances():
@@ -589,8 +540,7 @@ def test_merged_batch_equals_per_sector_parities(d, eps, n):
     sector decoded on its own, against Z tables built apart from the X
     sector's, gets the same parities, and so does the cut of each key's
     single-shot correction mask.  At d=9, eps=0.3 the batch holds
-    components above MATCH_DP_MAX, whose blossom parity comes from the
-    paths' parity bits."""
+    components of more than 22 defects."""
     from scdec.lattice import ANC_Z
     from scdec.mwpm import (_corr_mask, _pack_bits, _parities, _popcount,
                             _sector_paths, _split_components, _tables,
@@ -608,7 +558,7 @@ def test_merged_batch_equals_per_sector_parities(d, eps, n):
                                 for key in keys.tolist()]
     if eps == 0.3:
         _, comps = _split_components(_pack_bits(syn[:, nx:]), tz.or_tab)
-        assert _popcount(comps, tz.pop8).max() > MATCH_DP_MAX
+        assert _popcount(comps, tz.pop8).max() > 22
 
 
 def test_shadow_pruning_halves_the_d9_subsets():
@@ -624,7 +574,7 @@ def test_shadow_pruning_halves_the_d9_subsets():
         _, comps = _split_components(np.unique(keys), tab.or_tab)
         comps = np.unique(comps)
         n = _popcount(comps, tab.pop8)
-        comps = comps[(n > 1) & (n <= MATCH_DP_MAX)]
+        comps = comps[n > 1]
         full = dataclasses.replace(tab, shadow=np.zeros_like(tab.shadow))
         pruned, every = _levels(tab, comps), _levels(full, comps)
         assert 2 * sum(s.size for s, _ in pruned) <= sum(s.size for s, _ in every)
@@ -714,27 +664,98 @@ def test_batch_edge_cases():
 def test_batch_dp_slices_stay_within_their_bound(monkeypatch):
     """On d=9, eps=0.3 syndromes every ``_solve`` call reaches at most
     _SLICE_SUBSETS subsets by its bound, the sum of F(n+2) over its
-    components, unless it holds a single component."""
+    components, unless it holds a single component; some lone component's
+    bound passes _SLICE_SUBSETS, and no ``_levels`` level holds more than
+    _SLICE_SUBSETS subsets."""
     from scdec import mwpm
 
     fib = [0, 1]
-    while len(fib) < MATCH_DP_MAX + 3:
+    while len(fib) < 64:
         fib.append(fib[-1] + fib[-2])
-    assert fib[MATCH_DP_MAX + 2] <= mwpm._SLICE_SUBSETS
     slices = []
     solve = mwpm._solve
+    levels = mwpm._levels
+    widest = []
 
     def watched(t, comps):
         slices.append((sum(fib[c.bit_count() + 2] for c in comps.tolist()),
                        comps.size))
         return solve(t, comps)
 
+    def counted(t, comps):
+        out = levels(t, comps)
+        widest.append(max(subs.size for subs, _ in out))
+        return out
+
     monkeypatch.setattr(mwpm, "_solve", watched)
+    monkeypatch.setattr(mwpm, "_levels", counted)
     lay, syn = _sampled_syndromes(9, 0.3, 400)
     MwpmDecoder(lay).cut_parities_batch(syn)
     for bound, count in slices:
         assert bound <= mwpm._SLICE_SUBSETS or count == 1, (bound, count)
     assert len(slices) > 2
+    assert any(bound > mwpm._SLICE_SUBSETS for bound, _ in slices)
+    assert len(widest) == len(slices) and max(widest) <= mwpm._SLICE_SUBSETS
+
+
+def _widest_level(d, keys):
+    """(reached subsets, largest level) of one DP over the components of 2
+    or more defects of the distance-``d`` uint64 ``keys``."""
+    from scdec.mwpm import _levels, _popcount, _split_components, _tables
+
+    tab = _tables(d)[0]
+    _, comps = _split_components(np.asarray(keys, dtype=np.uint64), tab.or_tab)
+    comps = comps[_popcount(comps, tab.pop8) > 1]
+    if not comps.size:
+        return 0, 0
+    sizes = [subs.size for subs, _ in _levels(tab, comps)]
+    return sum(sizes), max(sizes)
+
+
+@pytest.mark.parametrize("d", (3, 5, 7, 9, 11))
+def test_fully_set_sector_stays_within_the_slice_bound(d):
+    """The worst case of one component: every ancilla of a sector is a
+    defect.  No level of its DP holds more than _SLICE_SUBSETS subsets
+    (d=11: 8,421 reached, at most 222 in one level)."""
+    from scdec import mwpm
+
+    k = build_layout(d).n_anc_x
+    reached, widest = _widest_level(d, [(1 << k) - 1])
+    assert 0 < widest <= mwpm._SLICE_SUBSETS, (reached, widest)
+
+
+@given(st.floats(0.05, 0.6), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_d11_key_search_stays_within_the_slice_bound(density, seed):
+    """A seeded search over d=11 keys whose ancillas are defects with
+    probability ``density``, steered towards the largest reach: no level of
+    the DP over a key's components holds more than _SLICE_SUBSETS
+    subsets."""
+    from scdec import mwpm
+
+    bits = np.random.default_rng(seed).random(60) < density
+    key = sum(1 << u for u in np.flatnonzero(bits).tolist())
+    reached, widest = _widest_level(11, [key])
+    target(float(reached))
+    assert widest <= mwpm._SLICE_SUBSETS, (density, seed, reached, widest)
+
+
+def test_decoding_imports_no_networkx(monkeypatch):
+    """With every import of networkx failing, a d=9, eps=0.3 batch holding
+    components of more than 22 defects decodes in both paths, and each
+    single-shot mask crosses the cut with its batch parity."""
+    import sys
+
+    from scdec.mwpm import _popcount, _split_components
+
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    with pytest.raises(ImportError):
+        import networkx  # noqa: F401
+    lay, syn = _sampled_syndromes(9, 0.3, 120, seed=9)
+    assert max(_popcount(_split_components(keys, tab.or_tab)[1], tab.pop8).max()
+               for tab, keys in _sector_keys(9, syn)) > 22
+    lz, lx = MwpmDecoder(lay).cut_parities_batch(syn)
+    assert list(zip(lz.tolist(), lx.tolist())) == _per_row_parities(lay, syn)
 
 
 def test_decode_size_mismatch():
