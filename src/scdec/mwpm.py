@@ -32,9 +32,11 @@ level-by-level subset DP (``_levels``) of ``weight << 1 | cut_parity``
 values, which reaches only the subsets left after shadowed partners are
 skipped.  Batch decoding (``cut_parities_batch``) packs both sectors' keys
 of a batch into one ``_parities`` call: one dedupe, one component split and
-one DP, solved in slices, whose parities are split back into the two
-sectors.  The cut parity of a matching is the XOR of one precomputed bit
-per path, so it never builds a correction mask.
+one DP, halved while it reaches more than ``_SLICE_SUBSETS`` subsets, whose
+parities are split back into the two sectors.  The cut parity of a matching
+is the XOR of one precomputed bit per path, so it never builds a correction
+mask.  Key sets are sorted, popcounts taken and bytes looked up in whole
+numpy passes (``_dedupe``, ``np.bitwise_count``, ``_octets``).
 Single-shot decoding (``decode_masks``) runs one DP over both sectors'
 components and traces each component's matching back down its levels,
 XORing the paths' data-qubit masks of its own sector.
@@ -78,9 +80,6 @@ class _TypeTables:
                               # set bit of b, shadow (see ``_shadowed``)
     single: np.ndarray        # (k,) int64 value of u's boundary route
     pair: np.ndarray          # (k, k) int64 value of the path u - v
-    pop8: np.ndarray          # (256,) int64 popcount of a byte
-    reach: np.ndarray         # (k + 1,) int64: F(n + 2), the most subsets
-                              # the DP reaches from n defects
 
 
 @lru_cache(maxsize=None)
@@ -198,16 +197,12 @@ def _type_tables(dist: np.ndarray, bnd: np.ndarray, path_mask: list,
                & (ix[:, None, None] < ix[None, :, None])
                & (ix[None, :, None] < ix[None, None, :]))
     byte_bits = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)
-    fib = np.ones(k + 2, dtype=np.int64)   # F(i + 1); F(62) (k = 60) fits
-    for i in range(2, fib.size):
-        fib[i] = fib[i - 1] + fib[i - 2]
     return _TypeTables(
         dist, bnd, path_mask, bnd_mask, cut_mask, inter_keys,
         _or_table(inter_keys, byte_bits),
         _or_table(_pack_bits(shadows.reshape(k * k, k)).reshape(k, k),
                   byte_bits),
-        b64 << 1 | single_par, d64 << 1 | pair_par,
-        byte_bits.sum(axis=1, dtype=np.int64), fib[1:])
+        b64 << 1 | single_par, d64 << 1 | pair_par)
 
 
 def _or_table(keys: np.ndarray, byte_bits: np.ndarray) -> np.ndarray:
@@ -223,24 +218,25 @@ def _or_table(keys: np.ndarray, byte_bits: np.ndarray) -> np.ndarray:
                                 axis=-1)
 
 
-# Caps the batch DP's memory: ``_parities`` hands ``_solve`` its components
-# in slices whose reachable-subset bounds, the sum of F(n + 2), stay at or
-# below this (or one component alone), and a slice's arrays are freed before
-# the next.  F(n + 2) ignores the shadowed partners the DP skips, so the
-# bound is loose: on 1,000 d=9 shots at eps=0.3 one unsliced DP peaked at
-# 72 MiB RSS, against 57 MiB in slices (415 against 78 MiB before the
-# skipping).  A component of 26 or more defects passes this bound alone and
-# runs alone, yet reaches few subsets: a fully set d=11 sector (60 defects)
-# reaches 8,421, at most 222 in one level, and a seeded search over 10,000
-# d=11 keys of defect density 0.05 to 0.6, steered towards the largest
-# reach, found at most 9,224, at most 582 in one level (tests/test_mwpm.py
-# checks the per-level limit).  Peak RSS of whole ``scdec eval --decoder
-# mwpm`` runs (2-vCPU x86-64 host, CPython 3.11, numpy 2.4, 16,384-shot
-# shards that may span points, both sectors' keys in one DP, two worker
-# threads, so up to two DPs live at once): 55 MiB for the default d=9
-# grid at 3,000 shots, 52 MiB for 20,000 d=9 shots at eps=0.3 and
-# 54 MiB for the default d=11 grid at 2,000 shots.
-_SLICE_SUBSETS = 1 << 18
+# Caps the batch DP's memory: a ``_levels`` call over two or more
+# components gives up once it has reached more than this many distinct
+# subsets, and ``_parities`` halves its slice and solves each half again.
+# A lone component never gives up; the largest reach seen is 9,224 subsets
+# at d=11, at most 582 in one level, and a fully set d=11 sector reaches
+# 8,421 (tests/test_mwpm.py checks the per-level limit).  At its peak a
+# DP holds about 50 bytes per reached subset (each level's references are
+# dropped once deduplicated; inverses and partner rows are int32, partners
+# and lowest defects uint8), so about 3 MiB at this cap, and two worker
+# threads may each hold one.  The cap is set from peak RSS of whole
+# ``scdec eval --decoder mwpm`` runs (2-vCPU x86-64 host, CPython 3.11,
+# numpy 2.4, 16,384-shot shards, two worker threads): caps of 2^15, 2^16
+# and 2^17 ran the default d=9 grid at 3,000 shots in 1.6, 1.3 and 1.1 s
+# at 49, 52 and 59 MiB, and the default d=11 grid at 2,000 shots in 7.4,
+# 5.5 and 4.4 s at 52, 56 and 65 MiB, against 2.4 s at 55 MiB and 39 s at
+# 53 MiB when slices were cut by the F(n + 2) bound.  The two costliest
+# shards of the d=7 curve that ``perfbench``'s ``mwpm-d7`` runs reach 40k
+# to 43k subsets, so below 2^16 each would give up once.
+_SLICE_SUBSETS = 1 << 16
 
 
 def _parities(t: _TypeTables, keys: np.ndarray) -> np.ndarray:
@@ -248,107 +244,139 @@ def _parities(t: _TypeTables, keys: np.ndarray) -> np.ndarray:
     defect key (bits are local ancilla indices).  Only the DP arrays of
     ``t`` are read, never its masks, so the keys of both sectors of
     ``_tables`` may be decoded in one call."""
-    keys, key_inv = np.unique(keys, return_inverse=True)
+    keys, key_inv = _dedupe([keys])
     rows, comps = _split_components(keys, t.or_tab)
-    uniq, inv = np.unique(comps, return_inverse=True)
-    n = _popcount(uniq, t.pop8)
+    uniq, inv = _dedupe([comps])
+    n = np.bitwise_count(uniq)
     val = np.empty(uniq.size, dtype=np.int64)
     lone = n == 1               # a lone defect takes its boundary route
     val[lone] = t.single[_bit_index(uniq[lone])]
-    # DP components in ascending size, in slices whose reachable-subset
-    # bounds sum to at most _SLICE_SUBSETS (one component at least)
+    # DP components in ascending size: one DP over them all, and each slice
+    # whose DP passes _SLICE_SUBSETS halved and solved again
     order = np.flatnonzero(~lone)
     order = order[np.argsort(n[order], kind="stable")]
-    bound = np.cumsum(t.reach[n[order]])
-    start = 0
-    while start < order.size:
-        base = bound[start - 1] if start else 0
-        stop = max(int(np.searchsorted(bound, base + _SLICE_SUBSETS,
-                                       side="right")), start + 1)
-        part = order[start:stop]
-        val[part] = _solve(t, uniq[part])
-        start = stop
+    todo = [order] if order.size else []
+    while todo:
+        part = todo.pop()
+        got = _levels(t, uniq[part], _SLICE_SUBSETS if part.size > 1 else None)
+        if got is None:
+            todo += [part[part.size // 2:], part[:part.size // 2]]
+        else:
+            val[part] = got[1]
     odd = np.bincount(rows, weights=val[inv] & 1, minlength=keys.size)
     return (odd % 2).astype(np.uint8)[key_inv]
 
 
-def _solve(t: _TypeTables, comps: np.ndarray) -> np.ndarray:
-    """``weight << 1 | cut_parity`` of the optimal matching of each subset
-    in ``comps`` (2 or more defects each)."""
-    n = _popcount(comps, t.pop8)
-    out = np.empty(comps.size, dtype=np.int64)
-    for m, (subs, vals) in enumerate(_levels(t, comps)):
-        at = n == m
-        out[at] = vals[np.searchsorted(subs, comps[at])]
-    return out
+def _levels(t: _TypeTables, comps: np.ndarray, cap=None):
+    """``(levels, values)`` of the DP over ``comps`` (2 or more defects
+    each), or None once it reaches more than ``cap`` distinct subsets.
 
-
-def _levels(t: _TypeTables, comps: np.ndarray) -> list:
-    """``levels[m] = (subsets, values)``, m from 0 to the largest popcount
-    in ``comps`` (2 or more defects each): the sorted distinct
-    subsets of m defects that the DP over ``comps`` reaches, and the
-    ``weight << 1 | cut_parity`` of each one's optimal matching.  Levels 0
-    and 1 list the empty set and every lone defect.
+    ``levels[m] = (subsets, values)``, m from 0 to the largest popcount in
+    ``comps``: the sorted distinct subsets of m defects that the DP reaches,
+    and the ``weight << 1 | cut_parity`` of each one's optimal matching.
+    Levels 0 and 1 list the empty set and every lone defect, and are not
+    counted against ``cap``.  ``values`` holds that of each of ``comps``.
 
     A subset DP with the pinned tie rule, one level of popcount at a time.
     Top-down, each level's distinct subsets are expanded: the lowest defect
     ``u`` goes to the boundary (the rest is one level down) or to a partner
     ``v``, a defect of the rest in ``inter_keys[u]`` that no defect of the
     rest shadows (two levels down, see ``_shadowed``), taken in rounds of
-    ascending ``v``.  Bottom-up, the boundary option is the first best and
-    each round replaces it only on a strict improvement.
+    ascending ``v``.  Bottom-up, each subset keeps its first option of
+    least weight, the boundary first and then the partners in ascending
+    order: the option of least ``weight << 8 | rank << 1 | parity`` key,
+    where the boundary has rank 0 and partner ``v`` rank ``v + 1``.
     The cut parity of an option is its path's parity bit XOR the remaining
     subset's parity.
     """
-    n = _popcount(comps, t.pop8)
+    n = np.bitwise_count(comps)
     top = int(n.max())
+    k = t.single.size
+    # pair_key[u * k + v]: the option key of the path u - v alone
+    pair_key = (t.pair >> 1 << 8 | (np.arange(k) + 1) << 1
+                | t.pair & 1).reshape(-1)
     # refs[m]: arrays of the size-m subsets that the comps and the levels
-    # above need, in order of reference; filled[m]: their count
+    # above need, in order of reference, the comps first; filled[m]: their
+    # count.  A level's list is emptied once it is deduplicated.
     refs = [[comps[n == m]] for m in range(top + 1)]
     filled = [r[0].size for r in refs]
     down = []
+    reached = 0
     for m in range(top, 1, -1):
-        uniq, inv = np.unique(np.concatenate(refs[m]), return_inverse=True)
+        uniq, inv = _dedupe(refs[m])
+        reached += uniq.size
+        if cap is not None and reached > cap:
+            return None
         low = uniq & (~uniq + np.uint64(1))
         u = _bit_index(low)
         rest = uniq ^ low
-        rounds = []
-        down.append((uniq, inv, u, filled[m - 1], rounds))
+        left = rest & t.inter_keys[u] & ~_shadowed(t, u, rest)
+        # the subset (int32 row) and partner of each pair, round by round
+        pair_rows, pair_v = [], []
+        down.append((uniq, inv, u, filled[m - 1], filled[m - 2], pair_rows,
+                     pair_v))
         refs[m - 1].append(rest)
         filled[m - 1] += rest.size
-        left = rest & t.inter_keys[u] & ~_shadowed(t, u, rest)
-        rows = np.flatnonzero(left)
+        rows = np.flatnonzero(left).astype(np.int32)
         left = left[rows]
         while rows.size:            # round i: the i-th lowest partner
             bit = left & (~left + np.uint64(1))
-            rounds.append(
-                (rows, t.pair[u[rows], _bit_index(bit)], filled[m - 2]))
+            pair_rows.append(rows)
+            pair_v.append(_bit_index(bit))
             refs[m - 2].append(rest[rows] ^ bit)
             filled[m - 2] += rows.size
             left ^= bit
             keep = np.flatnonzero(left)
             rows, left = rows[keep], left[keep]
     levels = [(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64)),
-              (np.uint64(1) << np.arange(t.single.size, dtype=np.uint64),
-               t.single)]
-    # refval[m]: the value of every size-m reference, in order
-    refval = [np.zeros(filled[0], dtype=np.int64),
-              t.single[_bit_index(np.concatenate(refs[1]))]]
-    for uniq, inv, u, off, rounds in reversed(down):
-        sub = refval[-1][off:off + u.size]
-        best = (t.single[u] >> 1) + (sub >> 1)
-        par = t.single[u] ^ sub
-        below = refval[-2]
-        for rows, path, at in rounds:
-            sub = below[at:at + rows.size]
-            cand = (path >> 1) + (sub >> 1)
-            better = np.flatnonzero(cand < best[rows])
-            best[rows[better]] = cand[better]
-            par[rows[better]] = path[better] ^ sub[better]
-        vals = best << 1 | (par & 1)
+              (np.uint64(1) << np.arange(k, dtype=np.uint64), t.single)]
+    values = np.empty(comps.size, dtype=np.int64)
+    # below, above: the value of every reference of the last two levels
+    # solved, in order; a comp's value sits in its own first slot
+    below = np.zeros(filled[0], dtype=np.int64)
+    above = t.single[_bit_index(np.concatenate(refs[1]))]
+    for m in range(2, top + 1):
+        uniq, inv, u, off, pair_off, pair_rows, pair_v = down.pop()
+        sub = above[off:off + u.size]
+        best = (t.single[u] >> 1) + (sub >> 1) << 8 | (t.single[u] ^ sub) & 1
+        if pair_rows:
+            rows = np.concatenate(pair_rows)
+            sub = below[pair_off:pair_off + rows.size]
+            key = pair_key.take(u[rows] * np.intp(k) + np.concatenate(pair_v))
+            np.minimum.at(best, rows, key + (sub >> 1 << 8) ^ sub & 1)
+        vals = best >> 8 << 1 | best & 1
         levels.append((uniq, vals))
-        refval.append(vals[inv])
-    return levels
+        below, above = above, vals[inv]
+        mine = n == m
+        values[mine] = above[:np.count_nonzero(mine)]
+    return levels, values
+
+
+def _dedupe(parts: list):
+    """(sorted distinct keys, int32 inverse) of the uint64 arrays ``parts``
+    taken as one, which it empties: ``np.unique(..., return_inverse=True)``
+    with about half its scratch memory."""
+    keys = np.concatenate(parts)
+    parts.clear()
+    shift = np.uint64(max(keys.size - 1, 1).bit_length())
+    if keys.max(initial=0) >> (np.uint64(64) - shift):
+        perm = keys.argsort()
+        keys = keys[perm]
+    else:
+        # each key carries its position in the low bits it leaves free, so
+        # one in-place sort, about twice as fast as ``argsort``, yields the
+        # permutation too
+        keys <<= shift
+        keys |= np.arange(keys.size, dtype=np.uint64)
+        keys.sort()
+        perm = (keys & ((np.uint64(1) << shift) - np.uint64(1))).view(np.int64)
+        keys >>= shift
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    inv = np.empty(keys.size, dtype=np.int32)
+    inv[perm] = np.cumsum(first, dtype=np.int32) - 1
+    return keys[first], inv
 
 
 def _corr_mask(t: _TypeTables, defect_key: int) -> int:
@@ -370,9 +398,9 @@ def _corr_masks(sectors) -> list:
         raise ValueError("the sectors do not share their DP tables")
     keys = np.array([key for _, key in sectors], dtype=np.uint64)
     rows, comps = _split_components(keys, t0.or_tab)
-    n = _popcount(comps, t0.pop8)
+    n = np.bitwise_count(comps)
     multi = comps[n > 1]
-    levels = _levels(t0, multi) if multi.size else None
+    levels = _levels(t0, multi)[0] if multi.size else None
     masks = [0] * len(sectors)
     for row, comp, k in zip(rows.tolist(), comps.tolist(), n.tolist()):
         t = sectors[row][0]
@@ -390,8 +418,8 @@ def _trace(t: _TypeTables, levels: list, comp: int) -> int:
     From the full set down, the lowest defect ``u`` takes the first option
     whose weight plus the rest's optimum equals the subset's optimum: the
     boundary, then the partners ``v`` that ``_levels`` expands, in
-    ascending order.  That is the option the DP's first strict improvement
-    keeps, and every subset it looks up is one the DP reached.
+    ascending order.  That is the option of least key that the DP keeps,
+    and every subset it looks up is one the DP reached.
     """
     def weight(sub: int) -> int:
         subs, vals = levels[sub.bit_count()]
@@ -425,9 +453,9 @@ def _shadowed(t: _TypeTables, u, rest) -> np.ndarray:
     boundary) is optimal too, and w comes first, so the first strict
     improvement never takes v and the DP need not reach its subset.
     """
-    octets = np.asarray(rest, dtype="<u8").reshape(-1, 1).view(np.uint8)
+    octets = _octets(rest)
     flat = t.shadow.reshape(-1)
-    at = np.asarray(u) * (t.shadow.shape[1] << 8)     # flat index of [u, 0, 0]
+    at = np.asarray(u, dtype=np.intp) * (t.shadow.shape[1] << 8)  # [u, 0, 0]
     out = flat.take(at + octets[:, 0])
     for j in range(1, t.shadow.shape[1]):
         at += 256
@@ -435,15 +463,15 @@ def _shadowed(t: _TypeTables, u, rest) -> np.ndarray:
     return out
 
 
+def _octets(keys) -> np.ndarray:
+    """(n, 8) uint8 bytes of the uint64 ``keys``, least significant first."""
+    return np.asarray(keys, dtype="<u8").reshape(-1, 1).view(np.uint8)
+
+
 def _bit_index(bits: np.ndarray) -> np.ndarray:
-    """Index of the set bit of each uint64 power of two."""
-    return np.frexp(bits.astype(np.float64))[1] - 1
-
-
-def _popcount(keys: np.ndarray, pop8: np.ndarray) -> np.ndarray:
-    """int64 set-bit count of each uint64 key."""
-    octets = np.ascontiguousarray(keys, dtype=np.uint64).view(np.uint8)
-    return pop8[octets].reshape(-1, 8).sum(axis=1)
+    """uint8 index of the set bit of each uint64 power of two ``b``: the
+    popcount of ``b - 1``."""
+    return np.bitwise_count(bits - np.uint64(1))
 
 
 def _split_components(keys: np.ndarray, or_tab: np.ndarray):
@@ -456,26 +484,26 @@ def _split_components(keys: np.ndarray, or_tab: np.ndarray):
     the complementary relation, ``inter_keys``, independently.
 
     Each round takes the lowest remaining defect of every nonzero key and
-    grows it by the byte-wise OR tables of ``inter_keys`` until it stops
-    changing, then removes it from the key; so a key's components come out
-    lowest first.
+    grows it by the byte-wise OR tables of ``inter_keys``, one lookup per
+    key byte, carrying only the components still growing; then removes it
+    from the key.  So a key's components come out lowest first.
     """
-    shifts = np.arange(0, 8 * or_tab.shape[0], 8, dtype=np.uint64)
-    byte = np.arange(or_tab.shape[0])
+    keys = np.asarray(keys, dtype=np.uint64)
     rows = np.flatnonzero(keys)
     rest = keys[rows]
     out_rows, out_comps = [rows[:0]], [rest[:0]]
     while rows.size:
         comp = rest & (~rest + np.uint64(1))
-        grow = np.arange(rows.size)
+        grow, c, r = np.arange(rows.size), comp, rest
         while grow.size:
-            c = comp[grow]
-            near = np.bitwise_or.reduce(
-                or_tab[byte, c[:, None] >> shifts & np.uint64(0xFF)], axis=1)
-            wider = c | (near & rest[grow])
-            changed = wider != c
-            grow = grow[changed]
-            comp[grow] = wider[changed]
+            octets = _octets(c)
+            near = or_tab[0].take(octets[:, 0])
+            for j in range(1, or_tab.shape[0]):
+                near |= or_tab[j].take(octets[:, j])
+            wider = c | (near & r)
+            moved = np.flatnonzero(wider != c)
+            grow, c, r = grow[moved], wider[moved], r[moved]
+            comp[grow] = c
         out_rows.append(rows)
         out_comps.append(comp)
         rest = rest ^ comp

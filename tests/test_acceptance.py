@@ -33,7 +33,7 @@ from scdec.eval import (
     pseudo_threshold,
 )
 from scdec.hwcost import KIND_HIDDEN, KIND_INPUT, KIND_OUTPUT, network_cost, node_cost, pareto_front
-from scdec.mwpm import _pack_bits, _popcount, _solve, _split_components, _tables, decode_mwpm
+from scdec.mwpm import _levels, _pack_bits, _split_components, _tables, decode_mwpm
 from scdec.train import TrainConfig, init_weights, loss_and_gradients, train_loop
 
 from oracles import (brute_force_boundary_matching, fixed_forward_bigint, match_defects,
@@ -127,9 +127,9 @@ def test_criterion_4_mwpm_exactness():
         for tab, cols in zip(_tables(d), (syn[:, :nx], syn[:, nx:])):
             _, comps = _split_components(_pack_bits(cols), tab.or_tab)
             comps = np.unique(comps)
-            n = _popcount(comps, tab.pop8)
+            n = np.bitwise_count(comps)
             comps = comps[(n >= 2) & (n <= 8)]
-            for comp, val in zip(comps.tolist(), _solve(tab, comps).tolist()):
+            for comp, val in zip(comps.tolist(), _levels(tab, comps)[1].tolist()):
                 idx = [u for u in range(comp.bit_length()) if comp >> u & 1]
                 want = brute_force_boundary_matching(
                     tab.dist[np.ix_(idx, idx)].tolist(), tab.bnd[idx].tolist())

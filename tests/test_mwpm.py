@@ -298,7 +298,7 @@ _PINNED_MASKS = "6ab106c75ce8de4ee7cf96cd33828103d68e4e9963aa91c23ea7bd9d2061798
 def test_single_shot_masks_pinned():
     """Correction masks of single-shot decoding, pinned at d = 3 to 11: a
     change of the tie rule or of a path moves a mask and fails here."""
-    from scdec.mwpm import _popcount, _split_components
+    from scdec.mwpm import _split_components
 
     digest = hashlib.sha256()
     sizes = set()
@@ -309,7 +309,7 @@ def test_single_shot_masks_pinned():
             digest.update("{:x} {:x}\n".format(*dec.decode_masks(row)).encode())
         for tab, keys in _sector_keys(d, syn):
             _, comps = _split_components(keys, tab.or_tab)
-            sizes.update(_popcount(comps, tab.pop8).tolist())
+            sizes.update(np.bitwise_count(comps).tolist())
     assert set(range(1, 23)) <= sizes and max(sizes) > 22
     assert digest.hexdigest() == _PINNED_MASKS
 
@@ -442,10 +442,10 @@ def test_shadow_pruning_keeps_the_tie_rule_on_random_metrics():
             assert [_corr_mask(tab, key) for key in keys.tolist()] == want, (k, trial)
             sets = shadow_sets(dist, bnd)
             pairs = keys[np.array([key.bit_count() > 1 for key in keys.tolist()])]
-            levels = _levels(tab, pairs)
+            levels = _levels(tab, pairs)[0]
             full = dataclasses.replace(tab, shadow=np.zeros_like(tab.shadow))
             reached += sum(subs.size for subs, _ in levels)
-            unpruned += sum(subs.size for subs, _ in _levels(full, pairs))
+            unpruned += sum(subs.size for subs, _ in _levels(full, pairs)[0])
             for subs, _ in levels[2:]:
                 low = [(sub & -sub).bit_length() - 1 for sub in subs.tolist()]
                 rest = [sub ^ (1 << u) for sub, u in zip(subs.tolist(), low)]
@@ -488,8 +488,7 @@ def test_lattice_shadow_tables(d):
         assert (tab.shadow == want).all(), d
 
 
-_DP_FIELDS = ("dist", "bnd", "inter_keys", "or_tab", "shadow", "single", "pair",
-              "pop8", "reach")
+_DP_FIELDS = ("dist", "bnd", "inter_keys", "or_tab", "shadow", "single", "pair")
 
 
 @pytest.mark.parametrize("d", (3, 5, 7, 9, 11))
@@ -542,7 +541,7 @@ def test_merged_batch_equals_per_sector_parities(d, eps, n):
     single-shot correction mask.  At d=9, eps=0.3 the batch holds
     components of more than 22 defects."""
     from scdec.lattice import ANC_Z
-    from scdec.mwpm import (_corr_mask, _pack_bits, _parities, _popcount,
+    from scdec.mwpm import (_corr_mask, _pack_bits, _parities,
                             _sector_paths, _split_components, _tables,
                             _type_tables)
 
@@ -558,7 +557,7 @@ def test_merged_batch_equals_per_sector_parities(d, eps, n):
                                 for key in keys.tolist()]
     if eps == 0.3:
         _, comps = _split_components(_pack_bits(syn[:, nx:]), tz.or_tab)
-        assert _popcount(comps, tz.pop8).max() > 22
+        assert np.bitwise_count(comps).max() > 22
 
 
 def test_shadow_pruning_halves_the_d9_subsets():
@@ -567,16 +566,16 @@ def test_shadow_pruning_halves_the_d9_subsets():
     the same value in both."""
     import dataclasses
 
-    from scdec.mwpm import _levels, _popcount, _split_components
+    from scdec.mwpm import _levels, _split_components
 
     _, syn = _sampled_syndromes(9, 0.2, 300)
     for tab, keys in _sector_keys(9, syn):
         _, comps = _split_components(np.unique(keys), tab.or_tab)
         comps = np.unique(comps)
-        n = _popcount(comps, tab.pop8)
+        n = np.bitwise_count(comps)
         comps = comps[n > 1]
         full = dataclasses.replace(tab, shadow=np.zeros_like(tab.shadow))
-        pruned, every = _levels(tab, comps), _levels(full, comps)
+        pruned, every = _levels(tab, comps)[0], _levels(full, comps)[0]
         assert 2 * sum(s.size for s, _ in pruned) <= sum(s.size for s, _ in every)
         for (subs, vals), (all_subs, all_vals) in zip(pruned, every):
             at = np.searchsorted(all_subs, subs)
@@ -598,6 +597,26 @@ def test_batch_component_split_equals_bitmask_bfs_and_union_find():
                 got[r].append(_bits(c))
             for key, split in zip(keys.tolist(), got):
                 assert split == union_find_components(_bits(key), tab.dist, tab.bnd), key
+
+
+def test_big_endian_keys_split_and_shadow_as_native():
+    """Keys handed to ``_split_components`` and ``_shadowed`` as ``'>u8'``
+    arrays give the rows, components and shadow sets of native keys."""
+    from scdec.mwpm import _bit_index, _shadowed, _split_components
+
+    _, syn = _sampled_syndromes(11, 0.2, 200)
+    for tab, keys in _sector_keys(11, syn):
+        swapped = keys.astype(">u8")
+        assert swapped.tolist() == keys.tolist()
+        rows, comps = _split_components(keys, tab.or_tab)
+        big_rows, big_comps = _split_components(swapped, tab.or_tab)
+        assert big_rows.tolist() == rows.tolist()
+        assert big_comps.tolist() == comps.tolist()
+        low = comps & (~comps + np.uint64(1))
+        u, rest = _bit_index(low), comps ^ low
+        assert (_shadowed(tab, u, rest.astype(">u8")).tolist()
+                == _shadowed(tab, u, rest).tolist())
+        assert _shadowed(tab, u, rest).any()
 
 
 def test_pack_bits_equals_python_int_keys():
@@ -661,54 +680,81 @@ def test_batch_edge_cases():
     assert list(zip(lz.tolist(), lx.tolist())) == _per_row_parities(lay, top)
 
 
-def test_batch_dp_slices_stay_within_their_bound(monkeypatch):
-    """On d=9, eps=0.3 syndromes every ``_solve`` call reaches at most
-    _SLICE_SUBSETS subsets by its bound, the sum of F(n+2) over its
-    components, unless it holds a single component; some lone component's
-    bound passes _SLICE_SUBSETS, and no ``_levels`` level holds more than
-    _SLICE_SUBSETS subsets."""
+def _watch_levels(monkeypatch):
+    """Record ``(component count, reached subsets, largest level)`` of
+    every ``_levels`` call, with None for the counts of a call that gave
+    up; levels 0 and 1 are tables, not reached."""
     from scdec import mwpm
 
-    fib = [0, 1]
-    while len(fib) < 64:
-        fib.append(fib[-1] + fib[-2])
-    slices = []
-    solve = mwpm._solve
+    calls = []
     levels = mwpm._levels
-    widest = []
 
-    def watched(t, comps):
-        slices.append((sum(fib[c.bit_count() + 2] for c in comps.tolist()),
-                       comps.size))
-        return solve(t, comps)
-
-    def counted(t, comps):
-        out = levels(t, comps)
-        widest.append(max(subs.size for subs, _ in out))
+    def watched(t, comps, cap=None):
+        out = levels(t, comps, cap)
+        if out is None:
+            calls.append((comps.size, None, None))
+        else:
+            sizes = [subs.size for subs, _ in out[0][2:]]
+            calls.append((comps.size, sum(sizes), max(sizes)))
         return out
 
-    monkeypatch.setattr(mwpm, "_solve", watched)
-    monkeypatch.setattr(mwpm, "_levels", counted)
+    monkeypatch.setattr(mwpm, "_levels", watched)
+    return calls
+
+
+def test_batch_dp_slices_stay_within_their_bound(monkeypatch):
+    """Every ``_levels`` call of two or more components reaches at most
+    _SLICE_SUBSETS subsets, and no level holds more.  With _SLICE_SUBSETS
+    patched down to 300, a d=9, eps=0.3 batch goes through several halvings
+    and gives the unpatched parities."""
+    from scdec import mwpm
+
     lay, syn = _sampled_syndromes(9, 0.3, 400)
-    MwpmDecoder(lay).cut_parities_batch(syn)
-    for bound, count in slices:
-        assert bound <= mwpm._SLICE_SUBSETS or count == 1, (bound, count)
-    assert len(slices) > 2
-    assert any(bound > mwpm._SLICE_SUBSETS for bound, _ in slices)
-    assert len(widest) == len(slices) and max(widest) <= mwpm._SLICE_SUBSETS
+    calls = _watch_levels(monkeypatch)
+    want = MwpmDecoder(lay).cut_parities_batch(syn)
+    runs = [(mwpm._SLICE_SUBSETS, calls[:])]
+    calls.clear()
+    monkeypatch.setattr(mwpm, "_SLICE_SUBSETS", 300)
+    got = MwpmDecoder(lay).cut_parities_batch(syn)
+    runs.append((300, calls))
+    assert [g.tolist() for g in got] == [w.tolist() for w in want]
+    for cap, seen in runs:
+        for count, reached, widest in seen:
+            if reached is not None:
+                assert widest <= reached
+                assert count == 1 or reached <= cap, (cap, count, reached)
+    assert sum(reached is None for _, reached, _ in calls) > 3   # halvings
+    assert any(count == 1 and reached > 300 for count, reached, _ in calls
+               if reached is not None)
+
+
+def test_d7_shards_take_one_dp_each(monkeypatch):
+    """The d=7 curve that ``perfbench``'s ``mwpm-d7`` workload runs, 8,192
+    shots at each eps of 0.04 to 0.12, cuts into three 16,384-shot or
+    smaller shards; each takes one ``_levels`` call within _SLICE_SUBSETS
+    (40k to 43k subsets for the two costliest)."""
+    from scdec import eval as eval_mod, mwpm
+
+    lay = build_layout(7)
+    calls = _watch_levels(monkeypatch)
+    eval_mod.benchmark(eval_mod.MwpmBenchmarkDecoder(lay), lay,
+                       [0.04, 0.06, 0.08, 0.10, 0.12], 8192, 1)
+    assert len(calls) == 3, calls
+    assert all(reached is not None and reached <= mwpm._SLICE_SUBSETS
+               for _, reached, _ in calls), calls
 
 
 def _widest_level(d, keys):
     """(reached subsets, largest level) of one DP over the components of 2
     or more defects of the distance-``d`` uint64 ``keys``."""
-    from scdec.mwpm import _levels, _popcount, _split_components, _tables
+    from scdec.mwpm import _levels, _split_components, _tables
 
     tab = _tables(d)[0]
     _, comps = _split_components(np.asarray(keys, dtype=np.uint64), tab.or_tab)
-    comps = comps[_popcount(comps, tab.pop8) > 1]
+    comps = comps[np.bitwise_count(comps) > 1]
     if not comps.size:
         return 0, 0
-    sizes = [subs.size for subs, _ in _levels(tab, comps)]
+    sizes = [subs.size for subs, _ in _levels(tab, comps)[0]]
     return sum(sizes), max(sizes)
 
 
@@ -746,13 +792,13 @@ def test_decoding_imports_no_networkx(monkeypatch):
     single-shot mask crosses the cut with its batch parity."""
     import sys
 
-    from scdec.mwpm import _popcount, _split_components
+    from scdec.mwpm import _split_components
 
     monkeypatch.setitem(sys.modules, "networkx", None)
     with pytest.raises(ImportError):
         import networkx  # noqa: F401
     lay, syn = _sampled_syndromes(9, 0.3, 120, seed=9)
-    assert max(_popcount(_split_components(keys, tab.or_tab)[1], tab.pop8).max()
+    assert max(np.bitwise_count(_split_components(keys, tab.or_tab)[1]).max()
                for tab, keys in _sector_keys(9, syn)) > 22
     lz, lx = MwpmDecoder(lay).cut_parities_batch(syn)
     assert list(zip(lz.tolist(), lx.tolist())) == _per_row_parities(lay, syn)
