@@ -424,25 +424,27 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs a 'distance' key")
     layout = build_layout(cfg["distance"])
     seed = cfg["seed"]
-    # every training config, its p_train and the eval settings are checked
-    # before a cell trains
+    # one net per reg_bits level, so the best can be picked downstream
+    cells = list(itertools.product(cfg["n1"], cfg["n2"], cfg["transfer"],
+                                   cfg["rotated"], cfg["bits"], cfg["reg_bits"]))
+    # every training config, its p_train, every cell's network and the eval
+    # settings are checked before a cell trains
     train_cfgs = {rb: _train_config({**cfg, "reg_bits": rb}) for rb in cfg["reg_bits"]}
     for tc in train_cfgs.values():
         tc.resolved_p_train(layout.d)
+    net_cfgs = [_sweep_net(cfg, layout.d, cell) for cell in cells]
     eval_mod.check_settings(_eps_grid(cfg), cfg["shots"], seed)
 
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     lines = [f"# {provenance(parsed, seed)}", _SWEEP_COLUMNS]
     trained = {}
-    # one net per reg_bits level, so the best can be picked downstream
-    cells = list(itertools.product(cfg["n1"], cfg["n2"], cfg["transfer"],
-                                   cfg["rotated"], cfg["bits"], cfg["reg_bits"]))
-    for cell in cells:
+    for cell, net_cfg in zip(cells, net_cfgs):
         n1, n2, transfer, rotated, bits, reg_bits = cell
         prefix = (f"{layout.d},{n1},{n2},{transfer},{int(rotated)},{bits},"
                   f"{reg_bits},{seed}")
         try:
-            lines.append(prefix + "," + _sweep_cell(cfg, layout, train_cfgs, trained, cell))
+            lines.append(prefix + "," + _sweep_cell(cfg, layout, train_cfgs[reg_bits],
+                                                    trained, net_cfg))
         except Exception as exc:  # the cell is reported, never dropped
             reason = str(exc).replace(",", ";").replace("\n", " ")[:120]
             lines.append(prefix + "," + "," * 10 + f"error:{reason}")
@@ -452,15 +454,25 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_cell(cfg, layout, train_cfgs, trained, cell) -> str:
-    n1, n2, transfer, rotated, bits, reg_bits = cell
-    net_key = (n1, n2, transfer, rotated, reg_bits)
-    quant = QuantSpec(bits, cfg["extra_sample_bit"]) if bits else None
-    net_cfg = NetworkConfig(d=layout.d, n1=n1, n2=n2, transfer=transfer,
-                            rotated=rotated, quant=quant)
+def _sweep_net(cfg, d: int, cell) -> NetworkConfig:
+    """The network of one sweep cell; a bad axis value is a ConfigError."""
+    n1, n2, transfer, rotated, bits, _ = cell
+    try:
+        quant = QuantSpec(bits, cfg["extra_sample_bit"]) if bits else None
+        return NetworkConfig(d=d, n1=n1, n2=n2, transfer=transfer,
+                             rotated=rotated, quant=quant)
+    except ValueError as exc:
+        raise ConfigError(f"sweep cell n1={n1} n2={n2} transfer={transfer} "
+                          f"rotated={rotated} bits={bits}: {exc}") from None
+
+
+def _sweep_cell(cfg, layout, train_cfg, trained, net_cfg) -> str:
+    # the float net a cell trains does not depend on its bits
+    net_key = (net_cfg.n1, net_cfg.n2, net_cfg.transfer, net_cfg.rotated,
+               train_cfg.reg_bits)
     if net_key not in trained:
-        trained[net_key] = train_mod.train_loop(train_cfgs[reg_bits], net_cfg, layout)[0]
-    decoder = eval_mod.nn_decoder(net_cfg, trained[net_key], quant)
+        trained[net_key] = train_mod.train_loop(train_cfg, net_cfg, layout)[0]
+    decoder = eval_mod.nn_decoder(net_cfg, trained[net_key], net_cfg.quant)
     points = eval_mod.benchmark(decoder, layout, _eps_grid(cfg), cfg["shots"],
                                 cfg["seed"])
     try:

@@ -47,6 +47,12 @@ class LogicalClass:
         return {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[(self.lx, self.lz)]
 
 
+def check_distance(d: int) -> None:
+    """Raise ValueError unless ``d`` is an odd code distance ``>= 3``."""
+    if d % 2 == 0 or d < 3:
+        raise ValueError(f"distance must be odd and >= 3, got {d}")
+
+
 class Layout:
     """Immutable geometry of a distance-``d`` rotated surface code.
 
@@ -71,8 +77,7 @@ class Layout:
     """
 
     def __init__(self, d: int):
-        if d % 2 == 0 or d < 3:
-            raise ValueError(f"distance must be odd and >= 3, got {d}")
+        check_distance(d)
         self.d = d
         self.n_data = d * d
         self.n_anc = d * d - 1

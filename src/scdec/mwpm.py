@@ -10,10 +10,14 @@ ancilla).  Edge weights are the number of data-qubit flips.
 Tie-breaking is pinned for reproducibility: shortest paths come from a BFS
 that scans neighbours in ascending index, and among equal-weight matchings
 the lowest-index defect prefers the boundary, then the lowest-index partner.
-A partner ``v`` is shadowed when a defect ``w`` of the same subset, ``u <
-w < v``, lies on a shortest u - v path (``_shadowed``): pairing u with w is
-then never heavier, so v is never that choice, and the DP skips it without
-changing any weight, parity or mask.
+The DP applies this rule in one place: every option of a subset's lowest
+defect ``u`` is an int64 key ``weight << 8 | rank << 1 | cut_parity``,
+rank 0 for u's boundary route and ``v + 1`` for the path to partner ``v``,
+and ``_levels`` keeps each subset's least key, so the key records the
+option chosen.  A partner ``v`` is shadowed when a defect ``w`` of the same
+subset, ``u < w < v``, lies on a shortest u - v path (``_shadowed``):
+pairing u with w is then never heavier, so v is never that choice, and the
+DP skips it without changing any weight, parity or mask.
 
 Both sectors share one set of DP tables.  The 90-degree rotation of the
 lattice maps X-local ancilla u onto Z-local ancilla u and the one logical
@@ -28,18 +32,18 @@ One exact matcher serves both decoding paths.  Defects are held as uint64
 keys over local ancilla indices and split into interaction components,
 matched one by one (``_split_components``).  A lone defect takes its
 boundary route; every component of 2 or more defects goes to one
-level-by-level subset DP (``_levels``) of ``weight << 1 | cut_parity``
-values, which reaches only the subsets left after shadowed partners are
-skipped.  Batch decoding (``cut_parities_batch``) packs both sectors' keys
-of a batch into one ``_parities`` call: one dedupe, one component split and
-one DP, halved while it reaches more than ``_SLICE_SUBSETS`` subsets, whose
-parities are split back into the two sectors.  The cut parity of a matching
+level-by-level subset DP (``_levels``) of those keys, which reaches only
+the subsets left after shadowed partners are skipped.  Batch decoding
+(``cut_parities_batch``) packs both sectors' keys of a batch into one
+``_parities`` call: one dedupe, one component split and one DP, halved
+while it reaches more than ``_SLICE_SUBSETS`` subsets, whose parities are
+split back into the two sectors.  The cut parity of a matching
 is the XOR of one precomputed bit per path, so it never builds a correction
 mask.  Key sets are sorted, popcounts taken and bytes looked up in whole
 numpy passes (``_dedupe``, ``np.bitwise_count``, ``_octets``).
 Single-shot decoding (``decode_masks``) runs one DP over both sectors'
-components and traces each component's matching back down its levels,
-XORing the paths' data-qubit masks of its own sector.
+components and follows each component's recorded choices back down its
+levels (``_trace``), XORing the paths' data-qubit masks of its own sector.
 Nothing is kept between calls but the per-distance tables.
 """
 
@@ -56,7 +60,8 @@ from .noise import ErrorConfig, Syndrome
 _INF = 10 ** 9
 
 # ``_pack_bits`` keys one sector's defects as a uint64, and a sector holds
-# (d*d - 1) / 2 ancillas, so d = 11 (60 ancillas) is the widest that fits.
+# (d*d - 1) / 2 ancillas, so d = 11 (60 ancillas) is the widest that fits,
+# and the rank ``v + 1`` of a DP option key fits its 7 bits.
 _KEY_BITS = 64
 MAX_DISTANCE = 11
 
@@ -70,7 +75,8 @@ class _TypeTables:
     path_mask: list           # path_mask[u][v]: data-qubit set as a bit-int
     bnd_mask: list            # bnd_mask[u]: boundary path data bits
     cut_mask: int             # data bits of the logical cut this plane crosses
-    # Arrays of the DP; a matching value is ``weight << 1 | parity``.
+    # Arrays of the DP; a matching value is the option key
+    # ``weight << 8 | rank << 1 | parity`` of the module docstring.
     inter_keys: np.ndarray    # (k,) uint64: bit v of inter_keys[u] is set
                               # where dist[u, v] < bnd[u] + bnd[v], v != u
     or_tab: np.ndarray        # (ceil(k/8), 256) uint64: [j, b] = OR of
@@ -78,8 +84,10 @@ class _TypeTables:
     shadow: np.ndarray        # (k, ceil(k/8), 256) uint64: [u, j, b] = the
                               # partners of u that the defects 8j + i, i a
                               # set bit of b, shadow (see ``_shadowed``)
-    single: np.ndarray        # (k,) int64 value of u's boundary route
-    pair: np.ndarray          # (k, k) int64 value of the path u - v
+    single: np.ndarray        # (k,) int64 key of u's boundary route alone,
+                              # bnd[u] << 8 | parity (rank 0)
+    pair: np.ndarray          # (k, k) int64 key of the path u - v alone,
+                              # dist[u, v] << 8 | (v + 1) << 1 | parity
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +210,7 @@ def _type_tables(dist: np.ndarray, bnd: np.ndarray, path_mask: list,
         _or_table(inter_keys, byte_bits),
         _or_table(_pack_bits(shadows.reshape(k * k, k)).reshape(k, k),
                   byte_bits),
-        b64 << 1 | single_par, d64 << 1 | pair_par)
+        b64 << 8 | single_par, d64 << 8 | (ix + 1) << 1 | pair_par)
 
 
 def _or_table(keys: np.ndarray, byte_bits: np.ndarray) -> np.ndarray:
@@ -273,28 +281,24 @@ def _levels(t: _TypeTables, comps: np.ndarray, cap=None):
 
     ``levels[m] = (subsets, values)``, m from 0 to the largest popcount in
     ``comps``: the sorted distinct subsets of m defects that the DP reaches,
-    and the ``weight << 1 | cut_parity`` of each one's optimal matching.
-    Levels 0 and 1 list the empty set and every lone defect, and are not
-    counted against ``cap``.  ``values`` holds that of each of ``comps``.
+    and the least option key of each (the module docstring): the weight
+    ``>> 8`` and cut parity ``& 1`` of its optimal matching, and the option
+    ``>> 1 & 0x7F`` that its lowest defect takes.  Levels 0 and 1 list the
+    empty set and every lone defect, and are not counted against ``cap``.
+    ``values`` holds the key of each of ``comps``.
 
-    A subset DP with the pinned tie rule, one level of popcount at a time.
-    Top-down, each level's distinct subsets are expanded: the lowest defect
-    ``u`` goes to the boundary (the rest is one level down) or to a partner
-    ``v``, a defect of the rest in ``inter_keys[u]`` that no defect of the
-    rest shadows (two levels down, see ``_shadowed``), taken in rounds of
-    ascending ``v``.  Bottom-up, each subset keeps its first option of
-    least weight, the boundary first and then the partners in ascending
-    order: the option of least ``weight << 8 | rank << 1 | parity`` key,
-    where the boundary has rank 0 and partner ``v`` rank ``v + 1``.
-    The cut parity of an option is its path's parity bit XOR the remaining
-    subset's parity.
+    A subset DP, one level of popcount at a time.  Top-down, each level's
+    distinct subsets are expanded: the lowest defect ``u`` goes to the
+    boundary (the rest is one level down) or to a partner ``v``, a defect
+    of the rest in ``inter_keys[u]`` that no defect of the rest shadows (two
+    levels down, see ``_shadowed``), taken in rounds of ascending ``v``.
+    Bottom-up, the key of each option is ``single[u]`` or ``pair[u, v]``
+    plus the weight of the subset it leaves, XOR that subset's parity, and
+    each subset keeps the least: the tie rule, applied here alone.
     """
     n = np.bitwise_count(comps)
     top = int(n.max())
     k = t.single.size
-    # pair_key[u * k + v]: the option key of the path u - v alone
-    pair_key = (t.pair >> 1 << 8 | (np.arange(k) + 1) << 1
-                | t.pair & 1).reshape(-1)
     # refs[m]: arrays of the size-m subsets that the comps and the levels
     # above need, in order of reference, the comps first; filled[m]: their
     # count.  A level's list is emptied once it is deduplicated.
@@ -338,15 +342,14 @@ def _levels(t: _TypeTables, comps: np.ndarray, cap=None):
     for m in range(2, top + 1):
         uniq, inv, u, off, pair_off, pair_rows, pair_v = down.pop()
         sub = above[off:off + u.size]
-        best = (t.single[u] >> 1) + (sub >> 1) << 8 | (t.single[u] ^ sub) & 1
+        best = t.single[u] + (sub >> 8 << 8) ^ sub & 1
         if pair_rows:
             rows = np.concatenate(pair_rows)
             sub = below[pair_off:pair_off + rows.size]
-            key = pair_key.take(u[rows] * np.intp(k) + np.concatenate(pair_v))
-            np.minimum.at(best, rows, key + (sub >> 1 << 8) ^ sub & 1)
-        vals = best >> 8 << 1 | best & 1
-        levels.append((uniq, vals))
-        below, above = above, vals[inv]
+            key = t.pair.take(u[rows] * np.intp(k) + np.concatenate(pair_v))
+            np.minimum.at(best, rows, key + (sub >> 8 << 8) ^ sub & 1)
+        levels.append((uniq, best))
+        below, above = above, best[inv]
         mine = n == m
         values[mine] = above[:np.count_nonzero(mine)]
     return levels, values
@@ -415,47 +418,39 @@ def _trace(t: _TypeTables, levels: list, comp: int) -> int:
     """Data-qubit bit-int of the matching that the DP ``levels`` chose for
     ``comp``.
 
-    From the full set down, the lowest defect ``u`` takes the first option
-    whose weight plus the rest's optimum equals the subset's optimum: the
-    boundary, then the partners ``v`` that ``_levels`` expands, in
-    ascending order.  That is the option of least key that the DP keeps,
-    and every subset it looks up is one the DP reached.
+    From the full set down, each subset's key names the option its lowest
+    defect ``u`` took: rank 0 its boundary route, rank ``v + 1`` the path to
+    ``v``.  The subset that option leaves is one the DP reached.
     """
-    def weight(sub: int) -> int:
-        subs, vals = levels[sub.bit_count()]
-        return int(vals[np.searchsorted(subs, np.uint64(sub))]) >> 1
-
     mask = 0
-    best = weight(comp)
     while comp:
+        subs, vals = levels[comp.bit_count()]
+        rank = int(vals[np.searchsorted(subs, np.uint64(comp))]) >> 1 & 0x7F
         u = (comp & -comp).bit_length() - 1
-        rest = comp ^ (1 << u)
-        w, sub, path = int(t.single[u]) >> 1, rest, t.bnd_mask[u]
-        left = int(t.inter_keys[u] & ~_shadowed(t, u, rest)[0]) & rest
-        while w + weight(sub) != best:
-            bit = left & -left
-            v = bit.bit_length() - 1
-            w, sub, path = int(t.pair[u, v]) >> 1, rest ^ bit, t.path_mask[u][v]
-            left ^= bit
-        mask ^= path
-        comp, best = sub, best - w
+        if rank:
+            v = rank - 1
+            mask ^= t.path_mask[u][v]
+            comp ^= 1 << v
+        else:
+            mask ^= t.bnd_mask[u]
+        comp ^= 1 << u
     return mask
 
 
-def _shadowed(t: _TypeTables, u, rest) -> np.ndarray:
+def _shadowed(t: _TypeTables, u: np.ndarray, rest: np.ndarray) -> np.ndarray:
     """uint64 set of the partners of each lowest defect ``u`` that a defect
-    of its ``rest`` shadows (scalars or equal-length arrays).
+    of its ``rest`` shadows (equal-length arrays), for ``_levels`` to skip.
 
     ``w`` shadows ``v`` when ``u < w < v``, ``w`` lies on a shortest u - v
     path (``dist[u, w] + dist[w, v] == dist[u, v]``) and ``_type_tables``
     found that re-pairing ``v`` costs no more (its guard).  If pairing u
     with v is optimal, pairing u with w and v with w's partner (or the
-    boundary) is optimal too, and w comes first, so the first strict
-    improvement never takes v and the DP need not reach its subset.
+    boundary) is optimal too, and its key is less (rank w + 1 < v + 1), so
+    no subset keeps v and the DP need not reach its subset.
     """
     octets = _octets(rest)
     flat = t.shadow.reshape(-1)
-    at = np.asarray(u, dtype=np.intp) * (t.shadow.shape[1] << 8)  # [u, 0, 0]
+    at = u * np.intp(t.shadow.shape[1] << 8)                      # [u, 0, 0]
     out = flat.take(at + octets[:, 0])
     for j in range(1, t.shadow.shape[1]):
         at += 256

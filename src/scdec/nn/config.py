@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .._fileio import atomic_write
+from ..lattice import check_distance
 
 TRANSFERS = ("tanh", "relu", "sqnl")
 
@@ -68,6 +69,7 @@ class NetworkConfig:
     quant: Optional[QuantSpec] = None
 
     def __post_init__(self):
+        check_distance(self.d)
         if self.transfer not in TRANSFERS:
             raise ValueError(f"unknown transfer {self.transfer!r}")
         if self.n1 < 1 or self.n2 < 1:
@@ -193,25 +195,46 @@ def save_checkpoint(path, cfg: NetworkConfig, weights=None, qweights=None,
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(cfg, weights, qweights)`` where
     ``weights`` is BaseWeights for rotated configs and Weights otherwise,
-    either possibly None."""
+    either possibly None.  A malformed document raises ValueError naming the
+    field at fault."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a scdec checkpoint: {path}")
-    cfg = NetworkConfig.from_dict(doc["config"])
+    try:
+        cfg = NetworkConfig.from_dict(_section(doc, "config"))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"checkpoint field 'config' is malformed: "
+                         f"{type(exc).__name__}: {exc}") from None
     weights = None
     if "base_weights" in doc:
-        weights = BaseWeights(**{k: np.asarray(v, dtype=np.float64)
-                                 for k, v in doc["base_weights"].items()})
+        weights = BaseWeights(**_params(doc, "base_weights", np.float64))
     elif "weights" in doc:
-        weights = Weights(**{k: np.asarray(v, dtype=np.float64)
-                             for k, v in doc["weights"].items()})
+        weights = Weights(**_params(doc, "weights", np.float64))
     qweights = None
     if "quantized_weights" in doc:
-        spec = QuantSpec(**doc["quant"])
-        qweights = QuantizedWeights(
-            **{k: np.asarray(v, dtype=np.int64)
-               for k, v in doc["quantized_weights"].items()},
-            spec=spec,
-        )
+        try:
+            spec = QuantSpec(**_section(doc, "quant"))
+        except TypeError as exc:
+            raise ValueError(f"checkpoint field 'quant' is malformed: {exc}") from None
+        qweights = QuantizedWeights(**_params(doc, "quantized_weights", np.int64),
+                                    spec=spec)
     return cfg, weights, qweights
+
+
+def _section(doc: dict, name: str) -> dict:
+    """The JSON object ``doc[name]`` of a checkpoint document."""
+    value = doc.get(name)
+    if not isinstance(value, dict):
+        raise ValueError(f"checkpoint field {name!r} is missing or not an object")
+    return value
+
+
+def _params(doc: dict, name: str, dtype) -> dict:
+    """The six parameter arrays of the checkpoint field ``name`` as
+    ``dtype`` arrays."""
+    arrays = _section(doc, name)
+    if sorted(arrays) != sorted(_FIELDS):
+        raise ValueError(f"checkpoint field {name!r} must hold exactly "
+                         f"{', '.join(_FIELDS)}, got {', '.join(sorted(arrays))}")
+    return {k: np.asarray(arrays[k], dtype=dtype) for k in _FIELDS}

@@ -133,7 +133,7 @@ def test_criterion_4_mwpm_exactness():
                 idx = [u for u in range(comp.bit_length()) if comp >> u & 1]
                 want = brute_force_boundary_matching(
                     tab.dist[np.ix_(idx, idx)].tolist(), tab.bnd[idx].tolist())
-                ok = ok and val >> 1 == want
+                ok = ok and val >> 8 == want
             n_comps += comps.size
 
     lay = build_layout(3)

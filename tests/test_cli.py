@@ -411,6 +411,24 @@ def test_eval_missing_checkpoint_is_exit_4(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("doc,field", [
+    ({"format": "scdec-checkpoint-v1"}, "'config'"),
+    ({"format": "scdec-checkpoint-v1",
+      "config": {"d": 3, "n1": 8, "n2": 4, "transfer": "sqnl", "rotated": False},
+      "weights": {"w1": [[0.0] * 8] * 8}}, "'weights'"),
+    (["scdec-checkpoint-v1"], "not a scdec checkpoint"),
+])
+def test_eval_malformed_checkpoint_is_exit_3(tmp_path, capsys, no_sampling, doc, field):
+    """A checkpoint document without its config, with a partial weight set,
+    or not a JSON object at all exits 3 and names the field at fault."""
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(doc))
+    out = tmp_path / "c.csv"
+    code, _, err = run(["eval", "--checkpoint", str(ckpt), "--out", str(out)], capsys)
+    assert code == 3 and field in err
+    assert not out.exists()
+
+
 def test_eval_mwpm_reproducible_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -543,6 +561,14 @@ def test_cost_tanh_is_compute_error(capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("d", ["4", "-3", "1"])
+def test_cost_bad_distance_is_exit_3(capsys, d):
+    """An even, negative or too small distance is a malformed network: exit
+    3 with the rule the lattice applies, not a cost or a compute error."""
+    code, out, err = run(["cost", "-d", d, "--n1", "8", "--n2", "4"], capsys)
+    assert code == 3 and "odd and >= 3" in err and not out
+
+
 def test_sweep_produces_every_cell(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -605,6 +631,27 @@ def test_sweep_without_default_p_train_is_exit_3(tmp_path, capsys, no_sampling, 
     out = tmp_path / "sweep.csv"
     code, _, err = run(["sweep", "--set", "distance=11", "--out", str(out)], capsys)
     assert code == 3 and "no default training error rate for d=11" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sets,bad", [
+    (["bits=3,12"], "bits=12"),
+    (["n1=8,6", "rotated=true"], "n1=6"),
+])
+def test_sweep_bad_cell_is_exit_3(tmp_path, capsys, no_sampling, monkeypatch, sets, bad):
+    """A network axis value that no cell can use, such as a 12-bit grid or
+    n1=6 with rotational sharing, exits 3 and names the cell before the
+    first cell trains, instead of training the cells before it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell trained")
+
+    monkeypatch.setattr(scdec.train, "train_loop", refuse)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--set", "distance=3"]
+    for s in sets:
+        argv += ["--set", s]
+    code, _, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 3 and bad in err
     assert not out.exists()
 
 

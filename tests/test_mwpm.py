@@ -583,6 +583,79 @@ def test_shadow_pruning_halves_the_d9_subsets():
             assert (all_vals[at] == vals).all()
 
 
+def test_option_keys_record_their_option():
+    """Every option key of the d=11 tables carries its path's weight above
+    bit 8 and cut parity in bit 0, and names its option in the 7 bits
+    between: rank 0 for a boundary route, ``v + 1`` for the path u - v.
+    d=11 has 60 ancillas per sector, so every rank fits."""
+    from scdec.mwpm import _parity_bits, _tables
+
+    tab = _tables(11)[0]
+    k = tab.bnd.size
+    assert k == 60
+    assert (tab.pair >> 1 & 0x7F == np.arange(1, k + 1)).all()
+    assert not (tab.single >> 1 & 0x7F).any()
+    assert (tab.pair >> 8 == tab.dist).all() and (tab.single >> 8 == tab.bnd).all()
+    single, pair = _parity_bits(tab.path_mask, tab.bnd_mask, tab.cut_mask)
+    assert (tab.single & 1 == single).all() and (tab.pair & 1 == pair).all()
+
+
+def _chosen_paths(levels, comp):
+    """``(u, v)`` of each path of the matching that the keys of the DP
+    ``levels`` record for ``comp``, ``v`` None for a boundary route."""
+    paths = []
+    while comp:
+        subs, vals = levels[comp.bit_count()]
+        at = np.searchsorted(subs, np.uint64(comp))
+        assert subs[at] == comp          # every subset followed was reached
+        rank = int(vals[at]) >> 1 & 0x7F
+        u = (comp & -comp).bit_length() - 1
+        v = rank - 1 if rank else None
+        paths.append((u, v))
+        comp ^= 1 << u | (1 << v if rank else 0)
+    return paths
+
+
+def test_recorded_choices_are_expanded_options_of_the_key_weight():
+    """On lattice components of 2 to more than 22 defects at d = 3 to 11,
+    each reached subset records its boundary route (rank 0) or a partner
+    ``v + 1`` that ``_levels`` expands: of the rest, in ``inter_keys[u]``
+    and not shadowed.  The choices recorded from a component down match
+    each of its defects once with path lengths summing to its key's
+    weight, and ``_trace`` XORs their masks into one that crosses the cut
+    with its key's parity."""
+    from scdec.mwpm import _bit_index, _levels, _shadowed, _split_components, _trace
+
+    sizes = set()
+    for d, eps, n in _ORACLE_SAMPLES:
+        _, syn = _sampled_syndromes(d, eps, n)
+        for tab, keys in _sector_keys(d, syn):
+            _, comps = _split_components(keys, tab.or_tab)
+            comps = np.unique(comps[np.bitwise_count(comps) > 1])
+            levels, values = _levels(tab, comps)
+            assert not (levels[1][1] >> 1 & 0x7F).any()
+            for subs, vals in levels[2:]:
+                low = subs & (~subs + np.uint64(1))
+                u, rest = _bit_index(low), subs ^ low
+                allowed = rest & tab.inter_keys[u] & ~_shadowed(tab, u, rest)
+                rank = vals >> 1 & 0x7F
+                v = np.maximum(rank - 1, 0).astype(np.uint64)
+                assert ((rank == 0) | (allowed >> v & np.uint64(1) == 1)).all(), d
+            for comp, key in zip(comps.tolist(), values.tolist()):
+                paths = _chosen_paths(levels, comp)
+                assert sorted(w for p in paths for w in p if w is not None) == _bits(comp)
+                assert sum(int(tab.bnd[u]) if v is None else int(tab.dist[u, v])
+                           for u, v in paths) == key >> 8, (d, comp)
+                mask = 0
+                for u, v in paths:
+                    mask ^= tab.bnd_mask[u] if v is None else tab.path_mask[u][v]
+                assert _trace(tab, levels, comp) == mask, (d, comp)
+                assert (mask & tab.cut_mask).bit_count() & 1 == key & 1, (d, comp)
+            sizes.update(np.bitwise_count(comps).tolist())
+    assert {3, 5, 7, 9, 11} == {d for d, _, _ in _ORACLE_SAMPLES}
+    assert min(sizes) == 2 and max(sizes) > 22
+
+
 def test_batch_component_split_equals_bitmask_bfs_and_union_find():
     """``_split_components``, the one splitter of both decoding paths, gives
     each key's union-find components, lowest first."""
