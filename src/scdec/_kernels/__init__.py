@@ -18,6 +18,7 @@ compiled backend) to require the extension.
     philox_lanes(...)                         Philox words by (shot, block, stream) (numpy)
     gf2_matmul(bits, mat)                     batched GF(2) matrix product (numpy)
     fixed_forward_bits(...)                   bit-exact fixed-point NN inference (numpy)
+    fixed_nonlinearity(transfer)              fixed-point nonlinearity; ValueError when a transfer has none
 """
 
 import os
@@ -46,3 +47,4 @@ syndrome_bits = _impl.syndrome_bits
 philox_lanes = python_backend.philox_lanes
 gf2_matmul = python_backend.gf2_matmul
 fixed_forward_bits = python_backend.fixed_forward_bits
+fixed_nonlinearity = python_backend.fixed_nonlinearity

@@ -255,6 +255,15 @@ def _relu_fixed(acc: np.ndarray, frac: int, bits: int) -> np.ndarray:
 _FIXED_TRANSFERS = {"sqnl": _sqnl_fixed, "relu": _relu_fixed}
 
 
+def fixed_nonlinearity(transfer: str):
+    """The fixed-point nonlinearity of ``transfer``; ValueError when the
+    transfer has no fixed-point datapath."""
+    try:
+        return _FIXED_TRANSFERS[transfer]
+    except KeyError:
+        raise ValueError(f"no fixed-point datapath for transfer {transfer!r}") from None
+
+
 def _exact_weights(w, a_max: int) -> np.ndarray:
     """``w.T`` as float for products ``a @ w.T`` with ``|a| <= a_max``.
 
@@ -285,10 +294,7 @@ def fixed_forward_bits(syn, w1, b1, w2, b2, wout, bout,
 
     syn: (n, n_in) uint8.  Returns (n, 2) uint8 class bits.
     """
-    try:
-        nonlin = _FIXED_TRANSFERS[transfer]
-    except KeyError:
-        raise ValueError(f"no fixed-point datapath for transfer {transfer!r}") from None
+    nonlin = fixed_nonlinearity(transfer)
     syn = np.atleast_2d(np.asarray(syn)).astype(np.uint8, copy=False)
     a_max = 1 << (abits - 1)
     w1t = _exact_weights(w1, 255)

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__, eval as eval_mod, hwcost, ped, train as train_mod
 from ._fileio import atomic_write
+from ._kernels import fixed_nonlinearity
 from .lattice import build_layout
 from .mwpm import decode_mwpm
 from .nn import NetworkConfig, QuantSpec, load_checkpoint, save_checkpoint
@@ -467,6 +468,9 @@ def _sweep_net(cfg, d: int, cell) -> NetworkConfig:
 
 
 def _sweep_cell(cfg, layout, train_cfg, trained, net_cfg) -> str:
+    if net_cfg.quant is not None:
+        # a cell whose decoder cannot be built trains and samples nothing
+        fixed_nonlinearity(net_cfg.transfer)
     # the float net a cell trains does not depend on its bits
     net_key = (net_cfg.n1, net_cfg.n2, net_cfg.transfer, net_cfg.rotated,
                train_cfg.reg_bits)

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import _threads, ped
 from ._fileio import atomic_write
+from ._kernels import fixed_nonlinearity
 from .lattice import Layout
 from .mwpm import MwpmDecoder
 from .nn import (NetworkConfig, QuantizedWeights, QuantSpec, expand_rotated,
@@ -101,6 +102,7 @@ class NNFloatDecoder:
 
 class NNFixedDecoder:
     def __init__(self, cfg: NetworkConfig, qweights: QuantizedWeights):
+        fixed_nonlinearity(cfg.transfer)    # a tanh net fails here, before any shot
         if cfg.quant is None:
             cfg = NetworkConfig(cfg.d, cfg.n1, cfg.n2, cfg.transfer,
                                 cfg.rotated, qweights.spec)

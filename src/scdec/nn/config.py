@@ -9,6 +9,7 @@ fixed-point models bit-exactly portable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -113,6 +114,12 @@ class NetworkConfig:
 _FIELDS = ("w1", "b1", "w2", "b2", "wout", "bout")
 
 
+def param_order(a: np.ndarray) -> str:
+    """``"F"`` for a column-major array, else ``"C"``: the order in which a
+    parameter vector holds the array's entries."""
+    return "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+
+
 @dataclass
 class _Params:
     """The six parameter arrays every weight container holds."""
@@ -124,8 +131,43 @@ class _Params:
     wout: np.ndarray
     bout: np.ndarray
 
+    _vec = None     # the vector the arrays view, set by on_vector
+
+    @classmethod
+    def on_vector(cls, vec: np.ndarray, shapes: dict, f_order=()):
+        """A container whose arrays, shaped ``shapes``, are consecutive views
+        of the vector ``vec``: column-major for the names in ``f_order``,
+        C-ordered otherwise."""
+        arrays, at = {}, 0
+        for name, shape in shapes.items():
+            part = vec[at:at + math.prod(shape)]
+            arrays[name] = (part.reshape(shape[::-1]).T if name in f_order
+                            else part.reshape(shape))
+            at += part.size
+        params = cls(**arrays)
+        params._vec = vec
+        return params
+
     def arrays(self) -> dict:
         return {name: getattr(self, name) for name in _FIELDS}
+
+    def vector(self):
+        """``(vec, shared)``: the six arrays' entries as one vector, each
+        array in its :func:`param_order`.  ``shared`` tells whether the
+        arrays are views of ``vec`` (a container made by :meth:`on_vector`)
+        or ``vec`` is a copy."""
+        arrays = self.arrays().values()
+        if self._vec is not None and all(a.base is self._vec for a in arrays):
+            return self._vec, True
+        return np.concatenate([np.ravel(a, order=param_order(a)) for a in arrays]), False
+
+    def assign(self, vec: np.ndarray) -> None:
+        """Copy ``vec``, laid out as :meth:`vector` lays it out, into the
+        arrays."""
+        at = 0
+        for a in self.arrays().values():
+            a[...] = vec[at:at + a.size].reshape(a.shape, order=param_order(a))
+            at += a.size
 
     def _check_shapes(self, cfg: NetworkConfig, base: bool) -> None:
         """Shapes ``cfg.param_shapes(base)`` and finite entries."""
@@ -133,8 +175,10 @@ class _Params:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
+        if not np.isfinite(self.vector()[0]).all():
+            bad = next(name for name, arr in self.arrays().items()
+                       if not np.isfinite(arr).all())
+            raise ValueError(f"{bad} contains non-finite values")
 
 
 @dataclass

@@ -14,49 +14,66 @@ from .config import NetworkConfig, Weights
 from .rotated import expand_rotated
 
 
-def transfer(fn: str, x):
-    """Evaluate a transfer function elementwise.
+def transfer_and_slope(fn: str, a: np.ndarray):
+    """Values and slopes (one-sided at the kinks) of a transfer function at
+    the float64 array ``a``, which is overwritten.
 
     sqnl is the saturating piecewise quadratic: -1 below -1, ``2x + x^2`` on
     [-1, 0), ``2x - x^2`` on [0, 1], 1 above 1.  It is computed as the
-    fixed-point datapath does, ``2c - c|c|`` with ``c = clip(x, -1, 1)``; the
-    sign of ``c`` keeps ``-0.0`` and NaN propagates.
+    fixed-point datapath does, ``2c - c|c|`` with ``c = clip(x, -1, 1)``,
+    and its slope as ``2 - 2|c|``, from one clip and one ``abs``; the sign of
+    ``c`` keeps ``-0.0`` and NaN propagates.
     """
-    x = np.asarray(x, dtype=np.float64)
     if fn == "tanh":
-        return np.tanh(x)
+        y = np.tanh(a, out=a)
+        slope = y * y
+        return y, np.subtract(1.0, slope, out=slope)
     if fn == "relu":
-        return np.maximum(x, 0.0)
+        slope = (a >= 0.0).astype(np.float64)
+        return np.maximum(a, 0.0, out=a), slope
     if fn == "sqnl":
-        c = np.clip(x, -1.0, 1.0)
-        return np.copysign(2.0 * c - c * np.abs(c), c)
+        c = np.clip(a, -1.0, 1.0, out=a)
+        slope = np.abs(c)
+        y = c * slope
+        np.copysign(np.subtract(2.0 * c, y, out=y), c, out=y)
+        slope *= 2.0
+        return y, np.subtract(2.0, slope, out=slope)
     raise ValueError(f"unknown transfer {fn!r}")
+
+
+def transfer(fn: str, x):
+    """Evaluate a transfer function elementwise (see
+    :func:`transfer_and_slope`)."""
+    return _copy_at(fn, x)[0]
 
 
 def transfer_deriv(fn: str, x):
     """Derivative of :func:`transfer` at ``x`` (one-sided at the kinks)."""
-    x = np.asarray(x, dtype=np.float64)
-    if fn == "tanh":
-        t = np.tanh(x)
-        return 1.0 - t * t
-    if fn == "relu":
-        return (x >= 0.0).astype(np.float64)
-    if fn == "sqnl":
-        return 2.0 - 2.0 * np.abs(np.clip(x, -1.0, 1.0))
-    raise ValueError(f"unknown transfer {fn!r}")
+    return _copy_at(fn, x)[1]
+
+
+def _copy_at(fn: str, x):
+    """:func:`transfer_and_slope` of a float64 copy of ``x``, shaped as
+    ``x`` (a scalar for a scalar)."""
+    shape = np.shape(x)
+    return [r.reshape(shape)[()] for r in
+            transfer_and_slope(fn, np.array(x, dtype=np.float64, ndmin=1))]
 
 
 def forward_acts(cfg: NetworkConfig, weights: Weights, x: np.ndarray):
-    """All layer activations for a batch ``x`` of shape (n, n_in).
+    """Hidden-layer values and slopes for a batch ``x`` of shape (n, n_in).
 
-    Returns ``(a1, y1, a2, y2, out)`` with ``out`` of shape (n, 2).
+    Returns ``(y1, s1, y2, s2, out)`` with ``out`` of shape (n, 2).
     """
-    a1 = x @ weights.w1.T + weights.b1
-    y1 = transfer(cfg.transfer, a1)
-    a2 = y1 @ weights.w2.T + weights.b2
-    y2 = transfer(cfg.transfer, a2)
-    out = y2 @ weights.wout.T + weights.bout
-    return a1, y1, a2, y2, out
+    a1 = x @ weights.w1.T
+    a1 += weights.b1
+    y1, s1 = transfer_and_slope(cfg.transfer, a1)
+    a2 = y1 @ weights.w2.T
+    a2 += weights.b2
+    y2, s2 = transfer_and_slope(cfg.transfer, a2)
+    out = y2 @ weights.wout.T
+    out += weights.bout
+    return y1, s1, y2, s2, out
 
 
 def forward_float_batch(cfg: NetworkConfig, weights, syn: np.ndarray) -> np.ndarray:

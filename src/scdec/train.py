@@ -17,6 +17,7 @@ expansion keeps the sharing equalities exact after every step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -25,8 +26,8 @@ import numpy as np
 
 from . import _threads, ped
 from .lattice import Layout, cut_parities
-from .nn.config import BaseWeights, NetworkConfig, Weights
-from .nn.forward import forward_acts, transfer_deriv
+from .nn.config import BaseWeights, NetworkConfig, Weights, param_order
+from .nn.forward import forward_acts
 from .nn.quantize import grid_levels
 from .nn.rotated import expand_rotated, reduce_rotated_grads
 from .noise import (
@@ -106,87 +107,97 @@ def loss_and_gradients(cfg: NetworkConfig, weights, x: np.ndarray, t: np.ndarray
     ``weights`` is Weights, or BaseWeights for rotated configs (gradients are
     then returned on the base parameters).  ``x`` is the (n, n_in) float
     input batch, ``t`` the (n, 2) array of +/-1 targets.
-    Returns ``(value, grads, outputs)``.
+    Returns ``(value, grads, outputs)``; ``grads`` views one vector laid out
+    as ``weights.vector()``.
+
+    The regularization acts on the physical (expanded) parameters as
+    whole-vector operations; only its loss is summed per array, each array
+    in its memory order.
     """
-    rotated = isinstance(weights, BaseWeights)
     full = expand_rotated(cfg, weights)
+    y1, s1, y2, s2, out = forward_acts(cfg, full, x)
+    err = out - t
+    value = float(np.sum(err ** 2))
+    dout = np.multiply(err, 2.0, out=err)
+    da2 = dout @ full.wout
+    da2 *= s2
+    da1 = da2 @ full.w2
+    da1 *= s1
+    arrays = full.arrays()
+    grads = (da1.T @ x, da1.sum(axis=0), da2.T @ y1, da2.sum(axis=0),
+             dout.T @ y2, dout.sum(axis=0))
+    g = np.concatenate([np.ravel(gr, order=param_order(w))
+                        for gr, w in zip(grads, arrays.values())])
 
-    a1, y1, a2, y2, out = forward_acts(cfg, full, x)
-    dout = 2.0 * (out - t)
-    gwout = dout.T @ y2
-    gbout = dout.sum(axis=0)
-    dy2 = dout @ full.wout
-    da2 = dy2 * transfer_deriv(cfg.transfer, a2)
-    gw2 = da2.T @ y1
-    gb2 = da2.sum(axis=0)
-    dy1 = da2 @ full.w2
-    da1 = dy1 * transfer_deriv(cfg.transfer, a1)
-    gw1 = da1.T @ x
-    gb1 = da1.sum(axis=0)
-    grads_full = Weights(gw1, gb1, gw2, gb2, gwout, gbout)
-
-    value = float(np.sum((out - t) ** 2))
     if reg_scale > 0.0:
-        # regularization acts on the physical (expanded) parameters
-        for name, w in full.arrays().items():
-            wq = grid_levels(w, reg_bits - 1) / (1 << (reg_bits - 1))
-            value += reg_scale * float(np.sum(w * w) + np.sum((w - wq) ** 2))
-            g = getattr(grads_full, name)
-            g += reg_scale * (2.0 * w + 2.0 * (w - wq))
+        w = full.vector()[0]
+        scale = 1 << (reg_bits - 1)
+        dev = w - grid_levels(w, reg_bits - 1) / scale
+        sq, dev_sq = w * w, dev ** 2
+        at = 0
+        for a in arrays.values():
+            part = slice(at, at + a.size)
+            value += reg_scale * float(np.sum(sq[part]) + np.sum(dev_sq[part]))
+            at += a.size
+        g += reg_scale * (2.0 * w + 2.0 * dev)
 
-    if rotated:
-        return value, reduce_rotated_grads(cfg, grads_full), out
-    return value, grads_full, out
+    if isinstance(weights, BaseWeights):
+        return value, reduce_rotated_grads(cfg, g), out
+    f_order = [name for name, w in arrays.items() if param_order(w) == "F"]
+    return value, Weights.on_vector(g, cfg.param_shapes(), f_order), out
 
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter array and the step count."""
+    """First/second moment estimates of the parameter vector and the step
+    count."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def init(cls, weights) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(v) for k, v in weights.arrays().items()},
-            v={k: np.zeros_like(v) for k, v in weights.arrays().items()},
-        )
+        n = weights.vector()[0].size
+        return cls(m=np.zeros(n), v=np.zeros(n))
 
 
 def adam_step(state: AdamState, weights, grads, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8):
-    """One bias-corrected ADAM update; mutates ``weights`` and ``state``."""
+    """One bias-corrected ADAM update over the parameter vector; mutates
+    ``weights`` and ``state``."""
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for name, w in weights.arrays().items():
-        g = getattr(grads, name)
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        w -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    w, shared = weights.vector()
+    g = grads.vector()[0]
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    w -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    if not shared:
+        weights.assign(w)
     return weights, state
 
 
 def init_weights(cfg: NetworkConfig, seed: int):
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer, drawn
-    from the counter-based stream so runs are reproducible.
+    from the counter-based stream so runs are reproducible.  The arrays are
+    views of one parameter vector, which :func:`adam_step` updates in place.
 
     Parameter block ``j``, counted across the parameters in order, is shot
     ``j`` of ``INIT_STREAM`` with four words per shot."""
     from ._kernels import philox_lanes
 
     full = cfg.param_shapes()
-    arrays = {}
-    word = 0
-    for name, shape in cfg.param_shapes(base=cfg.rotated).items():
+    shapes = cfg.param_shapes(base=cfg.rotated)
+    vec = np.empty(sum(math.prod(shape) for shape in shapes.values()))
+    word = at = 0
+    for name, shape in shapes.items():
         fan_in = full["w" + name[1:]][1]    # a bias shares its layer's fan-in
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         blocks = (n + 3) // 4
         words = np.empty((blocks, 4), dtype=np.uint64)
         for first, lanes in philox_lanes(4, seed, INIT_STREAM, word, blocks):
@@ -194,9 +205,10 @@ def init_weights(cfg: NetworkConfig, seed: int):
         word += blocks
         u = words.reshape(-1)[:n].astype(np.float64) / 2.0 ** 32
         bound = 1.0 / np.sqrt(fan_in)
-        arrays[name] = ((2.0 * u - 1.0) * bound).reshape(shape)
+        vec[at:at + n] = (2.0 * u - 1.0) * bound
+        at += n
     cls = BaseWeights if cfg.rotated else Weights
-    return cls(**arrays)
+    return cls.on_vector(vec, shapes)
 
 
 def _batch_inputs(layout: Layout, p: float, seed: int, batch: int, b: int):
@@ -218,9 +230,10 @@ def train_loop(train_cfg: TrainConfig, net_cfg: NetworkConfig, layout: Layout,
     iteration, batches, samples, ler, loss.  ``iteration_cb(weights, row)``
     runs after each logged iteration (checkpointing hook).
 
-    On the worker threads of :func:`scdec._threads.pool`, batch ``k + 1``
-    is sampled while batch ``k``'s ADAM step runs; logging and
-    ``iteration_cb`` run between steps.
+    Batch ``k + 1`` is sampled on a worker thread of
+    :func:`scdec._threads.pool` while batch ``k``'s loss, gradient and ADAM
+    step run on the calling thread; logging and ``iteration_cb`` run between
+    steps.
     """
     if net_cfg.d != layout.d:
         raise ValueError("network and layout distances differ")
@@ -230,18 +243,6 @@ def train_loop(train_cfg: TrainConfig, net_cfg: NetworkConfig, layout: Layout,
     history = []
     b = train_cfg.batch_size
     n_batches = train_cfg.n_batches
-
-    def step(batch, x, t):
-        """ADAM step on one batch; returns its loss and failed shots."""
-        value, grads, out = loss_and_gradients(
-            net_cfg, weights, x, t, train_cfg.reg_scale, train_cfg.reg_bits)
-        if not np.isfinite(value):
-            raise TrainingDiverged(
-                f"non-finite loss {value} at batch {batch} "
-                f"(lr={train_cfg.lr}, reg_scale={train_cfg.reg_scale})")
-        adam_step(state, weights, grads, train_cfg.lr,
-                  train_cfg.beta1, train_cfg.beta2, train_cfg.eps)
-        return value, int(np.sum(np.any((out > 0.0) != (t > 0.0), axis=1)))
 
     it_fail = 0
     it_shots = 0
@@ -253,8 +254,16 @@ def train_loop(train_cfg: TrainConfig, net_cfg: NetworkConfig, layout: Layout,
             x, t = nxt.result()
             if batch + 1 < n_batches:
                 nxt = ex.submit(inputs, batch + 1)
-            value, fails = ex.submit(step, batch, x, t).result()
-            it_fail += fails
+            value, grads, out = loss_and_gradients(
+                net_cfg, weights, x, t, train_cfg.reg_scale, train_cfg.reg_bits)
+            if not np.isfinite(value):
+                raise TrainingDiverged(
+                    f"non-finite loss {value} at batch {batch} "
+                    f"(lr={train_cfg.lr}, reg_scale={train_cfg.reg_scale})")
+            adam_step(state, weights, grads, train_cfg.lr,
+                      train_cfg.beta1, train_cfg.beta2, train_cfg.eps)
+            wrong = (out > 0.0) != (t > 0.0)
+            it_fail += int(np.count_nonzero(wrong[:, 0] | wrong[:, 1]))
             it_shots += b
             it_loss += value
 

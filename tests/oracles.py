@@ -453,3 +453,138 @@ def syndrome_dense(x_bits, z_bits, hx, hz):
             for row, reads_z in checks]
            for xrow, zrow in zip(xs, zs)]
     return np.array(out, dtype=np.uint8).reshape(len(xs), len(checks))
+
+
+# --------------------------------------------------- per-array training step --
+# The training step written one parameter array at a time: regularization and
+# ADAM loop over the six arrays, weight sharing stacks Python lists, and the
+# transfer and its slope each clip the activations.  The library's
+# whole-vector step must match it bit for bit.
+
+def _step_transfer(fn, x):
+    if fn == "tanh":
+        return np.tanh(x)
+    if fn == "relu":
+        return np.maximum(x, 0.0)
+    c = np.clip(x, -1.0, 1.0)
+    return np.copysign(2.0 * c - c * np.abs(c), c)
+
+
+def _step_transfer_deriv(fn, x):
+    if fn == "tanh":
+        t = np.tanh(x)
+        return 1.0 - t * t
+    if fn == "relu":
+        return (x >= 0.0).astype(np.float64)
+    return 2.0 - 2.0 * np.abs(np.clip(x, -1.0, 1.0))
+
+
+def _step_perms(d):
+    from scdec.lattice import build_layout
+
+    layout = build_layout(d)
+    fwd = [np.array(layout.rot_anc_power(g), dtype=np.intp) for g in range(4)]
+    return fwd, [fwd[-g % 4] for g in range(4)]
+
+
+def step_expand_rotated(cfg, base):
+    """Full shared weights of a rotated net from its quarter-size base."""
+    from scdec.nn.config import Weights
+
+    if isinstance(base, Weights):
+        return base
+    m1 = cfg.n1 // 4
+    _, inv = _step_perms(cfg.d)
+    w1 = np.vstack([base.w1[:, inv[g]] for g in range(4)])
+    b1 = np.tile(base.b1, 4)
+    w2 = np.vstack([
+        np.hstack([base.w2[:, ((gp - g) % 4) * m1:(((gp - g) % 4) + 1) * m1]
+                   for gp in range(4)])
+        for g in range(4)
+    ])
+    b2 = np.tile(base.b2, 4)
+    wout = np.hstack([base.wout if g % 2 == 0 else base.wout[::-1] for g in range(4)])
+    bout = np.full(2, base.bout[0], dtype=np.float64)
+    return Weights(w1, b1, w2, b2, wout, bout)
+
+
+def step_reduce_rotated_grads(cfg, grads):
+    """Base gradients: each base entry sums its four copies, copy 0 first."""
+    from scdec.nn.config import BaseWeights
+
+    m1, m2 = cfg.n1 // 4, cfg.n2 // 4
+    fwd, _ = _step_perms(cfg.d)
+    acc = BaseWeights(**{name: np.zeros(shape)
+                         for name, shape in cfg.param_shapes(base=True).items()})
+    for g in range(4):
+        acc.w1 += grads.w1[g * m1:(g + 1) * m1][:, fwd[g]]
+        acc.b1 += grads.b1[g * m1:(g + 1) * m1]
+        block2 = grads.w2[g * m2:(g + 1) * m2]
+        for gp in range(4):
+            rel = (gp - g) % 4
+            acc.w2[:, rel * m1:(rel + 1) * m1] += block2[:, gp * m1:(gp + 1) * m1]
+        acc.b2 += grads.b2[g * m2:(g + 1) * m2]
+        blocko = grads.wout[:, g * m2:(g + 1) * m2]
+        acc.wout += blocko if g % 2 == 0 else blocko[::-1]
+    acc.bout[0] = grads.bout.sum()
+    return acc
+
+
+def step_loss_and_gradients(cfg, weights, x, t, reg_scale=0.0, reg_bits=5):
+    """``(value, grads, out)`` of one batch, one parameter array at a time."""
+    from scdec.nn.config import BaseWeights, Weights
+
+    rotated = isinstance(weights, BaseWeights)
+    full = step_expand_rotated(cfg, weights)
+    a1 = x @ full.w1.T + full.b1
+    y1 = _step_transfer(cfg.transfer, a1)
+    a2 = y1 @ full.w2.T + full.b2
+    y2 = _step_transfer(cfg.transfer, a2)
+    out = y2 @ full.wout.T + full.bout
+    dout = 2.0 * (out - t)
+    gwout = dout.T @ y2
+    gbout = dout.sum(axis=0)
+    dy2 = dout @ full.wout
+    da2 = dy2 * _step_transfer_deriv(cfg.transfer, a2)
+    gw2 = da2.T @ y1
+    gb2 = da2.sum(axis=0)
+    dy1 = da2 @ full.w2
+    da1 = dy1 * _step_transfer_deriv(cfg.transfer, a1)
+    gw1 = da1.T @ x
+    gb1 = da1.sum(axis=0)
+    grads_full = Weights(gw1, gb1, gw2, gb2, gwout, gbout)
+
+    value = float(np.sum((out - t) ** 2))
+    if reg_scale > 0.0:
+        for name, w in full.arrays().items():
+            scale = 1 << (reg_bits - 1)
+            wq = np.clip(np.ceil(w * scale - 0.5), -scale, scale - 1) / scale
+            value += reg_scale * float(np.sum(w * w) + np.sum((w - wq) ** 2))
+            g = getattr(grads_full, name)
+            g += reg_scale * (2.0 * w + 2.0 * (w - wq))
+    if rotated:
+        return value, step_reduce_rotated_grads(cfg, grads_full), out
+    return value, grads_full, out
+
+
+def step_adam_init(weights):
+    """ADAM moments as one zero array per parameter array."""
+    return {"m": {k: np.zeros_like(v) for k, v in weights.arrays().items()},
+            "v": {k: np.zeros_like(v) for k, v in weights.arrays().items()},
+            "t": 0}
+
+
+def step_adam(state, weights, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One bias-corrected ADAM update per parameter array, in place."""
+    state["t"] += 1
+    bc1 = 1.0 - beta1 ** state["t"]
+    bc2 = 1.0 - beta2 ** state["t"]
+    for name, w in weights.arrays().items():
+        g = getattr(grads, name)
+        m = state["m"][name]
+        v = state["v"][name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        w -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)

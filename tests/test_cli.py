@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import json
 import os
 import platform
@@ -388,6 +389,31 @@ def test_train_eval_fit_pipeline(tmp_path, capsys):
     assert code in (0, 5)
 
 
+@pytest.mark.parametrize("keys,digests", [
+    # batch_size=1 is where OpenBLAS's sums in x @ w1.T follow the memory
+    # order of the rotated w1 for the column-major inputs training feeds it
+    (dict(distance=7, n1=16, n2=8, transfer="sqnl", rotated="true",
+          reg_scale=0.5, reg_bits=6, batch_size=1, n_batches=200,
+          log_every=100, seed=3),
+     ("18026eba7e5bcd45c29754e4250035ded6141548198425db4898391b39b9bc6b",
+      "0ab66359ef644f486868ddce2e261f210ba2cc4666cbdadd2ab95d050be1ab33")),
+    (dict(distance=3, n1=8, n2=4, transfer="relu", rotated="false",
+          reg_scale=0.7, reg_bits=4, batch_size=256, n_batches=30,
+          log_every=10, seed=2),
+     ("9aa1080e4f9870c597a4a3bb0d4eb2c2eb435cbb3543209895114713caabb3e0",
+      "c04f4ac68262a2c3d1d586882ca4dea3bc2eff81ff8f90514c8b25b9aecde8b8")),
+], ids=["d7-rotated-sqnl", "d3-relu-reg"])
+def test_train_outputs_pinned(tmp_path, capsys, keys, digests):
+    """sha256 of a training run's checkpoint.json and curve.csv, pinned: any
+    change to the float operations of a training step fails here."""
+    argv = ["train", "--out", str(tmp_path)]
+    argv += [a for k, v in keys.items() for a in ("--set", f"{k}={v}")]
+    assert run(argv, capsys)[0] == 0
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("checkpoint.json", "curve.csv"))
+    assert got == digests
+
+
 def test_eval_quantized_checkpoint(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -403,6 +429,22 @@ def test_eval_quantized_checkpoint(tmp_path, capsys):
                         "--set", "bits=5", "--out", str(curve)], capsys)
     assert code == 0
     assert "nn-fixed5" in curve.read_text()
+
+
+def test_eval_tanh_checkpoint_in_fixed_point_is_exit_3(tmp_path, capsys, no_sampling):
+    """A tanh net has no fixed-point datapath: eval exits 3 when it builds
+    the decoder, before a shot is sampled."""
+    from scdec.nn import NetworkConfig, save_checkpoint
+    from scdec.train import init_weights
+
+    cfg = NetworkConfig(d=3, n1=8, n2=4, transfer="tanh", rotated=True)
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, cfg, weights=init_weights(cfg, 0))
+    out = tmp_path / "c.csv"
+    code, _, err = run(["eval", "--checkpoint", str(ckpt), "--set", "bits=5",
+                        "--out", str(out)], capsys)
+    assert code == 3 and "no fixed-point datapath for transfer 'tanh'" in err
+    assert not out.exists()
 
 
 def test_eval_missing_checkpoint_is_exit_4(tmp_path, capsys):
@@ -606,8 +648,13 @@ def test_sweep_reg_bits_axis(tmp_path, capsys):
     assert {r[header.index("reg_bits")] for r in rows} == {"2", "3"}
 
 
-def test_sweep_marks_failed_cells(tmp_path, capsys):
-    # tanh cells cannot be quantized: the row must carry an error marker
+def test_sweep_marks_failed_cells(tmp_path, capsys, no_sampling, monkeypatch):
+    """tanh cells have no fixed-point datapath: the row carries the error,
+    and the cell neither trains nor samples a shot."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell trained")
+
+    monkeypatch.setattr(scdec.train, "train_loop", refuse)
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
         "distance = 3\nn1 = 8\nn2 = 4\ntransfer = tanh\nbits = 3\n"
@@ -618,7 +665,8 @@ def test_sweep_marks_failed_cells(tmp_path, capsys):
     code, _, _ = run(["sweep", "--config", str(cfg), "--out", str(out)], capsys)
     assert code == 0
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
-    assert len(rows) == 1 and "error:" in rows[0]
+    assert len(rows) == 1
+    assert rows[0].endswith(",error:no fixed-point datapath for transfer 'tanh'")
 
 
 def test_sweep_without_default_p_train_is_exit_3(tmp_path, capsys, no_sampling, monkeypatch):

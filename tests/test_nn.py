@@ -371,7 +371,7 @@ def test_power_of_two_net_fixed_matches_float_class():
             wout=rng.choice(choices, (2, 4)), bout=rng.choice(choices, 2),
         )
         s = rng.integers(0, 2, size=8, dtype=np.uint8)
-        _, y1, _, y2, _ = forward_acts(cfg, w, s[None].astype(float))
+        y1, _, y2, _, _ = forward_acts(cfg, w, s[None].astype(float))
         ok = all(
             np.all(np.abs(y) <= spec.max_int * step)
             and np.all(y / step == np.round(y / step))

@@ -224,6 +224,44 @@ def test_adam_two_steps_match_hand_recurrence():
     assert np.allclose(_flatten(w), x, atol=1e-12)
 
 
+# ------------------------------------------------ per-array step oracle --
+
+_STEP_BATCHES = (1, 2, 7, 64, 130, 511, 1024, 2048, 2999, 3)
+_STEP_NETS = ((4, 4), (16, 8), (32, 4))
+
+
+@pytest.mark.parametrize("transfer", ("tanh", "relu", "sqnl"))
+@pytest.mark.parametrize("rotated", (False, True))
+@pytest.mark.parametrize("d", (3, 5, 7, 9))
+def test_step_is_bit_identical_to_the_per_array_step(transfer, rotated, d):
+    """Ten steps of ``loss_and_gradients`` and ``adam_step`` give the same
+    loss bits, outputs and weights as the per-array step of the oracles, for
+    reg_scale 0 and 0.7, C- and F-ordered inputs, batches of 1 to 2,999
+    shots, and nets whose sharing quarter is one row (the full ``w1`` is
+    then C-ordered) or several (column-major)."""
+    from oracles import step_adam, step_adam_init, step_loss_and_gradients
+
+    rng = np.random.default_rng([d, rotated, len(transfer)])
+    for case, (reg, order) in enumerate([(0.0, "C"), (0.7, "F"), (0.7, "C"), (0.0, "F")]):
+        n1, n2 = _STEP_NETS[case % len(_STEP_NETS)]
+        cfg = NetworkConfig(d=d, n1=n1, n2=n2, transfer=transfer, rotated=rotated)
+        w = init_weights(cfg, seed=case)
+        want = type(w)(**{k: a.copy() for k, a in w.arrays().items()})
+        state, want_state = AdamState.init(w), step_adam_init(want)
+        for b in _STEP_BATCHES:
+            x = rng.integers(0, 2, size=(b, cfg.n_in)).astype(np.float64, order=order)
+            t = rng.choice([-1.0, 1.0], size=(b, 2))
+            value, grads, out = loss_and_gradients(cfg, w, x, t, reg, 4)
+            want_value, want_grads, want_out = step_loss_and_gradients(
+                cfg, want, x, t, reg, 4)
+            assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+            assert out.tobytes() == want_out.tobytes()
+            adam_step(state, w, grads, 0.05)
+            step_adam(want_state, want, want_grads, 0.05)
+            for name, a in w.arrays().items():
+                assert a.tobytes() == getattr(want, name).tobytes(), (case, b, name)
+
+
 # ------------------------------------------------------------- training --
 
 def test_train_config_validation():
