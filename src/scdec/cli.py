@@ -30,10 +30,9 @@ from . import __version__, eval as eval_mod, hwcost, ped, train as train_mod
 from ._fileio import atomic_write
 from ._kernels import fixed_nonlinearity
 from .lattice import build_layout
-from .mwpm import decode_mwpm
+from .mwpm import MwpmDecoder
 from .nn import NetworkConfig, QuantSpec, load_checkpoint, save_checkpoint
 from .nn.config import TRANSFERS
-from .noise import Syndrome
 from .train import TrainConfig
 
 
@@ -206,15 +205,17 @@ def cmd_decode(args) -> int:
     if len(bits) != layout.n_anc or set(bits) - {"0", "1"}:
         raise ConfigError(
             f"syndrome must be {layout.n_anc} bits of 0/1, got {args.syndrome!r}")
-    syn = Syndrome(np.array([int(b) for b in bits], dtype=np.uint8))
+    syn = np.array([[int(b) for b in bits]], dtype=np.uint8)
     if args.decoder == "ped":
-        corr = ped.decode(layout, syn)
-    elif args.decoder == "mwpm":
-        corr = decode_mwpm(layout, syn)
+        x_line, z_line = ("".join(map(str, plane[0].tolist()))
+                          for plane in ped.decode_bits(layout, syn))
     else:
-        raise ConfigError(f"unknown decoder {args.decoder!r}")
-    print("x " + "".join(str(int(b)) for b in corr.x_bits))
-    print("z " + "".join(str(int(b)) for b in corr.z_bits))
+        zmask, xmask = MwpmDecoder(layout).decode_masks(syn[0])
+        # bit i of a mask is data qubit i; d=11 masks are 121 bits wide
+        x_line, z_line = (format(mask, f"0{layout.n_data}b")[::-1]
+                          for mask in (xmask, zmask))
+    print("x " + x_line)
+    print("z " + z_line)
     return 0
 
 
@@ -506,6 +507,9 @@ def cmd_pareto(args) -> int:
             rows.append((float(cells[ci]), float(cells[pi]), line))
         except (ValueError, IndexError):
             continue  # error-marked or incomplete cells are not comparable
+    if not rows:
+        raise ComputeError(f"no usable rows (need numeric {args.cost_col!r} "
+                           f"and {args.perf_col!r} cells)")
     front = hwcost.pareto_front([(c, p) for c, p, _ in rows])
     front_set = set(front)
     out_lines = note + [",".join(header)]

@@ -5,8 +5,9 @@ A decoder is anything whose ``predict(syn)`` maps a uint8 syndrome batch
 output*: the prediction is compared against the logical difference between
 the actual error and the pure error.  The always-identity decoder therefore
 measures the raw pure-error decoder; the MWPM decoder predicts the class of
-``mwpm_correction XOR pure_error``, which makes its failure criterion
-``logical_class(actual XOR mwpm_correction) != I`` as usual.
+``mwpm_correction XOR pure_error``, so it fails exactly when the residual
+``actual XOR mwpm_correction``, whose syndrome is trivial, has a nonzero
+centre-cut parity (:func:`scdec.lattice.cut_parities`), as usual.
 
 Logical failure counts an error in either output bit (X or Z), and the
 logical error rate model fitted to the measured curves is
@@ -102,10 +103,16 @@ class NNFloatDecoder:
 
 class NNFixedDecoder:
     def __init__(self, cfg: NetworkConfig, qweights: QuantizedWeights):
-        fixed_nonlinearity(cfg.transfer)    # a tanh net fails here, before any shot
+        # a tanh net, a spec mismatch or an off-grid weight fails here,
+        # before any shot
+        fixed_nonlinearity(cfg.transfer)
         if cfg.quant is None:
             cfg = NetworkConfig(cfg.d, cfg.n1, cfg.n2, cfg.transfer,
                                 cfg.rotated, qweights.spec)
+        elif qweights.spec != cfg.quant:
+            raise ValueError(f"weights quantized for {qweights.spec}, "
+                             f"config wants {cfg.quant}")
+        qweights.validate()
         self.cfg = cfg
         self.qweights = qweights
 

@@ -23,28 +23,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 ANC_X = 0
 ANC_Z = 1
-
-
-@dataclass(frozen=True)
-class LogicalClass:
-    """One of the four logical classes I, X, Z, Y as a pair of bits."""
-
-    lx: int
-    lz: int
-
-    def __xor__(self, other: "LogicalClass") -> "LogicalClass":
-        return LogicalClass(self.lx ^ other.lx, self.lz ^ other.lz)
-
-    @property
-    def name(self) -> str:
-        return {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[(self.lx, self.lz)]
 
 
 def check_distance(d: int) -> None:
@@ -73,7 +57,8 @@ class Layout:
         exchanges X- and Z-ancillas.
     logical_cut_x, logical_cut_z
         The centre column (top-to-bottom) and centre row (left-to-right) of
-        data indices used as reference cuts for logical-class extraction.
+        data indices whose error parities give the logical class of a
+        residual with trivial syndrome (:func:`cut_parities`).
     """
 
     def __init__(self, d: int):
@@ -170,46 +155,6 @@ def build_layout(d: int) -> Layout:
     return Layout(d)
 
 
-def rotate_syndrome(layout: Layout, s):
-    """Rotate a syndrome 90 degrees: bit ``rot_anc[a]`` of the result is bit
-    ``a`` of ``s``.  Accepts a Syndrome, a single bit vector or a batch
-    (last axis indexed by ancilla); returns the same kind."""
-    from .noise import Syndrome
-
-    if isinstance(s, Syndrome):
-        return Syndrome(rotate_syndrome(layout, s.bits))
-    s = np.asarray(s)
-    if s.shape[-1] != layout.n_anc:
-        raise ValueError(f"syndrome length {s.shape[-1]} != {layout.n_anc}")
-    out = np.empty_like(s)
-    out[..., list(layout.rot_anc)] = s
-    return out
-
-
-def rotate_error(layout: Layout, x_bits, z_bits=None):
-    """Rotate an error configuration 90 degrees.
-
-    Data indices are permuted by ``rot_data`` and the X/Z bit planes are
-    exchanged, because the rotation maps X-stabilizers onto Z-stabilizers.
-    Takes an ErrorConfig (returning one) or two bit planes, possibly
-    batched, returning ``(x_bits, z_bits)``.
-    """
-    from .noise import ErrorConfig
-
-    if isinstance(x_bits, ErrorConfig):
-        return ErrorConfig(*rotate_error(layout, x_bits.x_bits, x_bits.z_bits))
-    x_bits = np.asarray(x_bits)
-    z_bits = np.asarray(z_bits)
-    if x_bits.shape[-1] != layout.n_data or z_bits.shape[-1] != layout.n_data:
-        raise ValueError("error configuration size mismatch")
-    perm = list(layout.rot_data)
-    new_x = np.empty_like(z_bits)
-    new_z = np.empty_like(x_bits)
-    new_x[..., perm] = z_bits
-    new_z[..., perm] = x_bits
-    return new_x, new_z
-
-
 def cut_parities(layout: Layout, x_bits: np.ndarray, z_bits: np.ndarray):
     """Parities of the X-plane along the centre row and of the Z-plane along
     the centre column.  For a trivial-syndrome residual these are the logical
@@ -220,21 +165,3 @@ def cut_parities(layout: Layout, x_bits: np.ndarray, z_bits: np.ndarray):
     lz = z_bits[..., layout._cut_x].astype(np.uint8, copy=False)
     return (np.bitwise_xor.reduce(lx, axis=-1) & 1,
             np.bitwise_xor.reduce(lz, axis=-1) & 1)
-
-
-def logical_class(layout: Layout, x_bits, z_bits=None) -> LogicalClass:
-    """Logical class of a residual error with trivial syndrome.
-
-    Takes an ErrorConfig or two bit planes.  Raises ValueError when the
-    syndrome is nontrivial, since the cut parity would then depend on the
-    choice of cut.
-    """
-    from .noise import ErrorConfig, compute_syndrome_bits
-
-    if isinstance(x_bits, ErrorConfig):
-        x_bits, z_bits = x_bits.x_bits, x_bits.z_bits
-    syn = compute_syndrome_bits(layout, x_bits, z_bits)
-    if np.any(syn):
-        raise ValueError("residual has nontrivial syndrome; class undefined")
-    lx, lz = cut_parities(layout, x_bits, z_bits)
-    return LogicalClass(int(lx), int(lz))

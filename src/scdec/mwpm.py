@@ -55,7 +55,6 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import ANC_X, ANC_Z, Layout, build_layout
-from .noise import ErrorConfig, Syndrome
 
 _INF = 10 ** 9
 
@@ -382,15 +381,11 @@ def _dedupe(parts: list):
     return keys[first], inv
 
 
-def _corr_mask(t: _TypeTables, defect_key: int) -> int:
-    """Data-qubit bit-int of the minimum-weight correction for one sector's
-    defect pattern, encoded as a bit-int over local ancilla indices."""
-    return _corr_masks([(t, defect_key)])[0]
-
-
 def _corr_masks(sectors) -> list:
-    """``_corr_mask`` of each ``(tables, defect_key)`` of ``sectors``, whose
-    tables share one set of DP arrays (as the two of ``_tables`` do).
+    """Data-qubit bit-int of the minimum-weight correction of each
+    ``(tables, defect_key)`` of ``sectors``, the key a bit-int over the
+    sector's local ancilla indices.  The tables must share one set of DP
+    arrays, as the two of ``_tables`` do.
 
     One ``_levels`` call covers the DP components of every key: a subset's
     optimum does not depend on which other subsets the DP reaches.  Each
@@ -520,11 +515,9 @@ class MwpmDecoder:
         self._tx, self._tz = _tables(layout.d)
 
     def decode_masks(self, syn_bits: np.ndarray):
-        """(z_plane_mask, x_plane_mask) bit-ints for one syndrome."""
-        nx = self.layout.n_anc_x
-        row = np.asarray(syn_bits)[None, :]
-        key_x = int(_pack_bits(row[:, :nx])[0])
-        key_z = int(_pack_bits(row[:, nx:])[0])
+        """(z_plane_mask, x_plane_mask) bit-ints for one syndrome; bit ``i``
+        of a mask is data qubit ``i``."""
+        key_x, key_z = (int(k[0]) for k in self._keys(np.asarray(syn_bits)[None, :]))
         # X defects -> Z corrections, Z defects -> X corrections
         zmask, xmask = _corr_masks([(self._tx, key_x), (self._tz, key_z)])
         return zmask, xmask
@@ -536,10 +529,15 @@ class MwpmDecoder:
         ``lx`` from the X-plane corrections.  Both sectors' keys go through
         one ``_parities`` call on the shared DP tables.
         """
-        nx = self.layout.n_anc_x
-        par = _parities(self._tx, np.concatenate(
-            [_pack_bits(syn[:, :nx]), _pack_bits(syn[:, nx:])]))
+        par = _parities(self._tx, np.concatenate(self._keys(syn)))
         return par[:len(syn)], par[len(syn):]
+
+    def _keys(self, syn: np.ndarray):
+        """X- and Z-sector defect keys of a syndrome batch."""
+        if syn.shape[-1] != self.layout.n_anc:
+            raise ValueError("syndrome sized for a different layout")
+        nx = self.layout.n_anc_x
+        return _pack_bits(syn[:, :nx]), _pack_bits(syn[:, nx:])
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -554,16 +552,3 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     for j in range(n):
         keys |= (bits[:, j] != 0).astype(np.uint64) << np.uint64(j)
     return keys
-
-
-def decode_mwpm(layout: Layout, s: Syndrome) -> ErrorConfig:
-    """Minimum-weight correction reproducing syndrome ``s``."""
-    if s.bits.shape != (layout.n_anc,):
-        raise ValueError("syndrome sized for a different layout")
-    zmask, xmask = MwpmDecoder(layout).decode_masks(s.bits)
-    return ErrorConfig(_int_to_bits(xmask, layout.n_data),
-                       _int_to_bits(zmask, layout.n_data))
-
-
-def _int_to_bits(mask: int, n: int) -> np.ndarray:
-    return np.array([(mask >> i) & 1 for i in range(n)], dtype=np.uint8)

@@ -9,16 +9,16 @@ from .config import (
     save_checkpoint,
     load_checkpoint,
 )
-from .forward import transfer, transfer_deriv, forward_float, forward_float_batch, forward_acts
+from .forward import forward_float_batch, forward_acts
 from .rotated import expand_rotated, reduce_rotated_grads
 from .quantize import quantize_array, quantize_weights
-from .fixed import forward_fixed, forward_fixed_batch
+from .fixed import forward_fixed_batch
 
 __all__ = [
     "NetworkConfig", "QuantSpec", "Weights", "BaseWeights", "QuantizedWeights",
     "save_checkpoint", "load_checkpoint",
-    "transfer", "transfer_deriv", "forward_float", "forward_float_batch", "forward_acts",
+    "forward_float_batch", "forward_acts",
     "expand_rotated", "reduce_rotated_grads",
     "quantize_array", "quantize_weights",
-    "forward_fixed", "forward_fixed_batch",
+    "forward_fixed_batch",
 ]

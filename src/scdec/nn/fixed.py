@@ -34,9 +34,3 @@ def forward_fixed_batch(cfg: NetworkConfig, qw: QuantizedWeights,
         syn, qw.w1, qw.b1, qw.w2, qw.b2, qw.wout, qw.bout,
         qw.spec.wfrac, qw.spec.bits, cfg.transfer,
     )
-
-
-def forward_fixed(cfg: NetworkConfig, qw: QuantizedWeights, s: np.ndarray):
-    """Single-syndrome fixed-point classification: ``(x_bit, z_bit)``."""
-    bits = forward_fixed_batch(cfg, qw, np.atleast_2d(s))[0]
-    return int(bits[0]), int(bits[1])

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..lattice import LogicalClass
 from .config import NetworkConfig, Weights
 from .rotated import expand_rotated
 
@@ -41,25 +40,6 @@ def transfer_and_slope(fn: str, a: np.ndarray):
     raise ValueError(f"unknown transfer {fn!r}")
 
 
-def transfer(fn: str, x):
-    """Evaluate a transfer function elementwise (see
-    :func:`transfer_and_slope`)."""
-    return _copy_at(fn, x)[0]
-
-
-def transfer_deriv(fn: str, x):
-    """Derivative of :func:`transfer` at ``x`` (one-sided at the kinks)."""
-    return _copy_at(fn, x)[1]
-
-
-def _copy_at(fn: str, x):
-    """:func:`transfer_and_slope` of a float64 copy of ``x``, shaped as
-    ``x`` (a scalar for a scalar)."""
-    shape = np.shape(x)
-    return [r.reshape(shape)[()] for r in
-            transfer_and_slope(fn, np.array(x, dtype=np.float64, ndmin=1))]
-
-
 def forward_acts(cfg: NetworkConfig, weights: Weights, x: np.ndarray):
     """Hidden-layer values and slopes for a batch ``x`` of shape (n, n_in).
 
@@ -83,15 +63,3 @@ def forward_float_batch(cfg: NetworkConfig, weights, syn: np.ndarray) -> np.ndar
     if x.shape[1] != cfg.n_in:
         raise ValueError(f"syndrome width {x.shape[1]} != {cfg.n_in}")
     return forward_acts(cfg, w, x)[-1]
-
-
-def forward_float(cfg: NetworkConfig, weights, s: np.ndarray):
-    """Single-syndrome forward pass.
-
-    Returns ``(yx, yz, LogicalClass(yx > 0, yz > 0))``.
-    """
-    w = expand_rotated(cfg, weights)
-    w.validate(cfg)
-    out = forward_float_batch(cfg, w, np.atleast_2d(s))[0]
-    yx, yz = float(out[0]), float(out[1])
-    return yx, yz, LogicalClass(int(yx > 0.0), int(yz > 0.0))

@@ -8,8 +8,6 @@ measurement errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
@@ -21,98 +19,28 @@ TRAIN_STREAM = 1
 EVAL_STREAM_BASE = 16
 
 
-@dataclass
-class ErrorConfig:
-    """Pauli error pattern on the data qubits (two GF(2) planes)."""
-
-    x_bits: np.ndarray
-    z_bits: np.ndarray
-
-    def __post_init__(self):
-        self.x_bits = np.asarray(self.x_bits, dtype=np.uint8)
-        self.z_bits = np.asarray(self.z_bits, dtype=np.uint8)
-        if self.x_bits.shape != self.z_bits.shape:
-            raise ValueError("x/z planes differ in shape")
-
-    def __xor__(self, other: "ErrorConfig") -> "ErrorConfig":
-        return ErrorConfig(self.x_bits ^ other.x_bits, self.z_bits ^ other.z_bits)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ErrorConfig)
-            and np.array_equal(self.x_bits, other.x_bits)
-            and np.array_equal(self.z_bits, other.z_bits)
-        )
-
-    @classmethod
-    def identity(cls, layout: Layout) -> "ErrorConfig":
-        return cls(np.zeros(layout.n_data, np.uint8), np.zeros(layout.n_data, np.uint8))
-
-
-@dataclass
-class Syndrome:
-    """Ancilla parity bits, ordered by ancilla index (X-ancillas first)."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Syndrome) and np.array_equal(self.bits, other.bits)
-
-
-@dataclass
-class CounterRng:
-    """Counter-based random stream: shot ``k`` is addressable directly, so
-    sampling is reproducible for any batch split or worker count."""
-
-    seed: int
-    stream: int = 0
-    shot: int = 0
-
-    def take(self, n: int) -> int:
-        """Reserve ``n`` consecutive shot indices, returning the first."""
-        first = self.shot
-        self.shot += n
-        return first
-
-    def jump_to(self, shot: int) -> None:
-        self.shot = shot
-
-
-def sample_depolarizing(layout: Layout, p: float, rng: CounterRng) -> ErrorConfig:
-    """Draw one depolarizing error configuration.
-
-    Each data qubit independently stays error free with probability ``1-p``
-    and otherwise gets X, Y or Z with probability ``p/3`` each.
-    """
-    x, z = sample_depolarizing_bits(layout, p, rng.seed, rng.stream, rng.take(1), 1)
-    return ErrorConfig(x[0], z[0])
-
-
 def sample_depolarizing_bits(layout: Layout, p: float, seed: int, stream: int,
                              shot0: int, n_shots: int):
-    """Batch form of :func:`sample_depolarizing`; returns two uint8 arrays of
-    shape ``(n_shots, n_data)``."""
+    """Depolarizing errors of shots ``shot0 .. shot0 + n_shots - 1`` of Philox
+    stream ``(seed, stream)``: two uint8 arrays ``(x_bits, z_bits)`` of shape
+    ``(n_shots, n_data)``.
+
+    Each data qubit independently stays error free with probability ``1-p``
+    and otherwise gets X, Y or Z with probability ``p/3`` each.  Shot ``k``
+    depends on ``k`` alone, so any split of a run into batches draws the
+    same errors.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"error probability must be in [0, 1], got {p}")
     return _kernels.sample_pauli_bits(layout.n_data, p, seed, stream, shot0, n_shots)
 
 
-def compute_syndrome(layout: Layout, e: ErrorConfig) -> Syndrome:
-    """Syndrome of a single error configuration.
+def compute_syndrome_bits(layout: Layout, x_bits: np.ndarray, z_bits: np.ndarray):
+    """Syndromes of a batch of error configurations, uint8 ``(n, n_anc)``.
 
     Bit ``a`` is the parity, over the data qubits adjacent to ancilla ``a``,
     of the opposite-type error component (X-ancillas read ``z_bits``).
     """
-    if e.x_bits.shape != (layout.n_data,):
-        raise ValueError("error configuration sized for a different layout")
-    return Syndrome(compute_syndrome_bits(layout, e.x_bits, e.z_bits)[0])
-
-
-def compute_syndrome_bits(layout: Layout, x_bits: np.ndarray, z_bits: np.ndarray):
-    """Batch syndrome extraction; returns uint8 ``(n, n_anc)``."""
     x_bits = np.atleast_2d(x_bits)
     z_bits = np.atleast_2d(z_bits)
     if x_bits.shape[-1] != layout.n_data:

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import _kernels
 from .lattice import Layout, build_layout
-from .noise import ErrorConfig, Syndrome
 
 
 class ChainSpec(NamedTuple):
@@ -103,7 +102,7 @@ def cut_parity_matrix(d: int):
     """Syndrome-to-cut-parity matrix of the decoder output, ``(n_anc, 2)``.
 
     Over GF(2), ``s @ m[:, 0]`` equals the centre-row X-plane parity of
-    ``decode(s)`` and ``s @ m[:, 1]`` the centre-column Z-plane parity.
+    ``decode_bits(s)`` and ``s @ m[:, 1]`` the centre-column Z-plane parity.
     """
     layout = build_layout(d)
     px, pz = decode_tables(d)
@@ -111,14 +110,6 @@ def cut_parity_matrix(d: int):
     cut_x = np.fromiter(sorted(layout.logical_cut_x), dtype=np.intp)
     return np.stack([px[:, cut_z].sum(axis=1), pz[:, cut_x].sum(axis=1)],
                     axis=1).astype(np.uint8) & 1
-
-
-def decode(layout: Layout, s: Syndrome) -> ErrorConfig:
-    """Pure error reproducing syndrome ``s`` exactly."""
-    if s.bits.shape != (layout.n_anc,):
-        raise ValueError("syndrome sized for a different layout")
-    x, z = decode_bits(layout, s.bits)
-    return ErrorConfig(x[0], z[0])
 
 
 def decode_bits(layout: Layout, syn: np.ndarray):
@@ -132,7 +123,7 @@ def decode_bits(layout: Layout, syn: np.ndarray):
 
 
 def decode_cut_parities(layout: Layout, syn: np.ndarray):
-    """Centre-cut parities of ``decode(syn)`` without forming the planes.
+    """Centre-cut parities of ``decode_bits(syn)`` without forming the planes.
     Returns ``(lx, lz)`` uint8 arrays of length ``n``."""
     par = _kernels.gf2_matmul(syn, cut_parity_matrix(layout.d))
     return par[:, 0], par[:, 1]

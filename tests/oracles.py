@@ -455,6 +455,60 @@ def syndrome_dense(x_bits, z_bits, hx, hz):
     return np.array(out, dtype=np.uint8).reshape(len(xs), len(checks))
 
 
+# ------------------------------------------------ rotation and logical class --
+# The lattice's 90-degree rotation, on one shot (a vector) or a batch (last
+# axis indexed by ancilla or data qubit), and the logical class of one
+# residual.
+
+def rotate_syndrome(layout, s):
+    """Rotate syndromes 90 degrees: bit ``rot_anc[a]`` of the result is bit
+    ``a`` of ``s``."""
+    s = np.asarray(s)
+    if s.shape[-1] != layout.n_anc:
+        raise ValueError(f"syndrome length {s.shape[-1]} != {layout.n_anc}")
+    out = np.empty_like(s)
+    out[..., list(layout.rot_anc)] = s
+    return out
+
+
+def rotate_error(layout, x_bits, z_bits):
+    """Rotate errors 90 degrees: data indices move by ``rot_data`` and the
+    X and Z planes swap, because the rotation maps X-stabilizers onto
+    Z-stabilizers.  Returns ``(x_bits, z_bits)``."""
+    x_bits = np.asarray(x_bits)
+    z_bits = np.asarray(z_bits)
+    if x_bits.shape[-1] != layout.n_data or z_bits.shape[-1] != layout.n_data:
+        raise ValueError("error configuration size mismatch")
+    perm = list(layout.rot_data)
+    new_x = np.empty_like(z_bits)
+    new_z = np.empty_like(x_bits)
+    new_x[..., perm] = z_bits
+    new_z[..., perm] = x_bits
+    return new_x, new_z
+
+
+def logical_class(layout, x_bits, z_bits):
+    """Logical class ``(lx, lz)`` of one residual error with trivial
+    syndrome: the X-plane parity along the centre row and the Z-plane parity
+    along the centre column.
+
+    Raises ValueError when the syndrome is nontrivial, since the parity would
+    then depend on the choice of cut.
+    """
+    x_bits = np.asarray(x_bits, dtype=np.int64)
+    z_bits = np.asarray(z_bits, dtype=np.int64)
+    if np.any(z_bits @ layout.hx.T % 2) or np.any(x_bits @ layout.hz.T % 2):
+        raise ValueError("residual has nontrivial syndrome; class undefined")
+    return (int(x_bits[sorted(layout.logical_cut_z)].sum() % 2),
+            int(z_bits[sorted(layout.logical_cut_x)].sum() % 2))
+
+
+def mask_bits(mask, n):
+    """Bit-int ``mask`` as a uint8 vector of its ``n`` low bits, bit ``i``
+    at index ``i``."""
+    return np.array([(mask >> i) & 1 for i in range(n)], dtype=np.uint8)
+
+
 # --------------------------------------------------- per-array training step --
 # The training step written one parameter array at a time: regularization and
 # ADAM loop over the six arrays, weight sharing stacks Python lists, and the

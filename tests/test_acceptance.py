@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from scdec.lattice import build_layout, logical_class, rotate_error, rotate_syndrome
+from scdec.lattice import build_layout
 from scdec.nn import (
     NetworkConfig,
     QuantSpec,
@@ -18,7 +18,7 @@ from scdec.nn import (
     forward_float_batch,
     quantize_weights,
 )
-from scdec.noise import Syndrome, compute_syndrome_bits, sample_depolarizing_bits
+from scdec.noise import compute_syndrome_bits, sample_depolarizing_bits
 from scdec import ped
 from scdec.eval import (
     BenchmarkPoint,
@@ -33,11 +33,12 @@ from scdec.eval import (
     pseudo_threshold,
 )
 from scdec.hwcost import KIND_HIDDEN, KIND_INPUT, KIND_OUTPUT, network_cost, node_cost, pareto_front
-from scdec.mwpm import _levels, _pack_bits, _split_components, _tables, decode_mwpm
+from scdec.mwpm import MwpmDecoder, _levels, _pack_bits, _split_components, _tables
 from scdec.train import TrainConfig, init_weights, loss_and_gradients, train_loop
 
-from oracles import (brute_force_boundary_matching, fixed_forward_bigint, match_defects,
-                     match_weight)
+from oracles import (brute_force_boundary_matching, fixed_forward_bigint, logical_class,
+                     mask_bits, match_defects, match_weight, rotate_error,
+                     rotate_syndrome)
 
 
 def report(n, ok, detail):
@@ -71,9 +72,8 @@ def test_criterion_2_ped_worked_example():
     lay = build_layout(5)
     s = np.zeros(24, np.uint8)
     s[8] = 1
-    corr = ped.decode(lay, Syndrome(s))
-    ok = (not corr.x_bits.any()
-          and list(np.flatnonzero(corr.z_bits)) == [23, 24])
+    x, z = ped.decode_bits(lay, s)
+    ok = not x.any() and list(np.flatnonzero(z[0])) == [23, 24]
     report(2, ok, "syndrome {X-ancilla 8} at d=5 decodes to Z on {23, 24}")
 
 
@@ -137,6 +137,7 @@ def test_criterion_4_mwpm_exactness():
             n_comps += comps.size
 
     lay = build_layout(3)
+    dec = MwpmDecoder(lay)
     for q in range(9):
         for pauli in ("x", "y", "z"):
             x = np.zeros(9, np.uint8)
@@ -146,9 +147,9 @@ def test_criterion_4_mwpm_exactness():
             if pauli in ("y", "z"):
                 z[q] = 1
             syn = compute_syndrome_bits(lay, x, z)[0]
-            corr = decode_mwpm(lay, Syndrome(syn))
-            cls = logical_class(lay, x ^ corr.x_bits, z ^ corr.z_bits)
-            ok = ok and (cls.lx, cls.lz) == (0, 0)
+            zmask, xmask = dec.decode_masks(syn)
+            ok = ok and logical_class(lay, x ^ mask_bits(xmask, 9),
+                                      z ^ mask_bits(zmask, 9)) == (0, 0)
     dt = time.time() - t0
     report(4, ok and n_comps > 0 and dt < 60,
            f"matching weights = brute force on 1000 random graphs (reference "

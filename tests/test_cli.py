@@ -345,6 +345,34 @@ def test_decode_mwpm_runs(capsys):
     assert code == 0
 
 
+_DECODE_DIGESTS = {
+    "ped": "cffa7c13f2cec2d3010be6263d006f4df6d040b364ee414dcea9451878df0124",
+    "mwpm": "073da785de617258596b3bf49dc30846667ffa3531a935ffd7632e348349b233",
+}
+
+
+@pytest.mark.parametrize("decoder", sorted(_DECODE_DIGESTS))
+def test_decode_output_pinned(capsys, decoder):
+    """sha256 of ``scdec decode`` stdout over seeded syndromes at d = 3, 7
+    and 11, pinned: any change to a correction or to how it is printed
+    fails here."""
+    from scdec.lattice import build_layout
+    from scdec.noise import compute_syndrome_bits, sample_depolarizing_bits
+
+    digest = hashlib.sha256()
+    for d in (3, 7, 11):
+        lay = build_layout(d)
+        for p in (0.05, 0.15):
+            x, z = sample_depolarizing_bits(lay, p, 21, d, 0, 8)
+            for row in compute_syndrome_bits(lay, x, z):
+                syn = "".join(map(str, row.tolist()))
+                code, out, _ = run(["decode", "-d", str(d), "--decoder", decoder,
+                                    "--syndrome", syn], capsys)
+                assert code == 0
+                digest.update(out.encode())
+    assert digest.hexdigest() == _DECODE_DIGESTS[decoder]
+
+
 def test_decode_rejects_bad_syndrome(capsys):
     code, _, err = run(["decode", "-d", "3", "--syndrome", "01"], capsys)
     assert code == 3
@@ -444,6 +472,31 @@ def test_eval_tanh_checkpoint_in_fixed_point_is_exit_3(tmp_path, capsys, no_samp
     code, _, err = run(["eval", "--checkpoint", str(ckpt), "--set", "bits=5",
                         "--out", str(out)], capsys)
     assert code == 3 and "no fixed-point datapath for transfer 'tanh'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg_bits,off_grid,message", [
+    (5, False, "config wants"),
+    (4, True, "falls outside the 4-bit grid"),
+], ids=["spec-mismatch", "off-grid-weight"])
+def test_eval_bad_quantized_checkpoint_is_exit_3(tmp_path, capsys, no_sampling,
+                                                 cfg_bits, off_grid, message):
+    """Quantized weights whose spec differs from the config's, or with a
+    weight outside their grid, exit 3 before a shot is sampled."""
+    from scdec.nn import NetworkConfig, QuantSpec, quantize_weights, save_checkpoint
+    from scdec.train import init_weights
+
+    cfg = NetworkConfig(d=3, n1=8, n2=4, transfer="sqnl", rotated=False,
+                        quant=QuantSpec(cfg_bits))
+    qw = quantize_weights(init_weights(cfg, 0), QuantSpec(4))
+    if off_grid:
+        qw.w1[0, 0] = 100
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, cfg, qweights=qw)
+    out = tmp_path / "c.csv"
+    code, _, err = run(["eval", "--checkpoint", str(ckpt), "--set", "shots=100",
+                        "--out", str(out)], capsys)
+    assert code == 3 and message in err
     assert not out.exists()
 
 
@@ -746,6 +799,20 @@ def test_pareto_subcommand(tmp_path, capsys):
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
     # d dominates a and c; b survives only if nothing is cheaper and better
     assert set(r.split(",")[0] for r in rows) == {"d"}
+
+
+def test_pareto_without_comparable_rows_is_exit_5(tmp_path, capsys):
+    """A table whose every cell in the chosen columns is an error mark or
+    missing, as in a sweep whose cells all failed, has no front: exit 5, as
+    ``cost --budget-report`` does for no usable rows."""
+    src = tmp_path / "res.csv"
+    src.write_text("# prov\nname,bitops,p_th\n"
+                   "a,100,error:no crossing\nb,200\n")
+    out = tmp_path / "front.csv"
+    code, _, err = run(["pareto", "--input", str(src), "--cost-col", "bitops",
+                        "--perf-col", "p_th", "--out", str(out)], capsys)
+    assert code == 5 and "no usable rows" in err
+    assert not out.exists()
 
 
 # --------------------------------------------------------- table inputs --

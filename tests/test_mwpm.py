@@ -3,12 +3,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from scdec.lattice import build_layout, logical_class
-from scdec.mwpm import MwpmDecoder, decode_mwpm
-from scdec.noise import Syndrome, compute_syndrome_bits, sample_depolarizing_bits
+from scdec.lattice import build_layout, cut_parities
+from scdec.mwpm import MwpmDecoder
+from scdec.noise import compute_syndrome_bits, sample_depolarizing_bits
 
 from oracles import (
     brute_force_boundary_matching,
+    logical_class,
+    mask_bits,
     match_defects,
     match_weight,
     parity_set_dp,
@@ -22,6 +24,12 @@ from oracles import (
 def _bits(key):
     """Sorted set-bit indices of a bit-int."""
     return [u for u in range(key.bit_length()) if key >> u & 1]
+
+
+def _correction(lay, syn):
+    """MWPM correction of one syndrome as (x_bits, z_bits) uint8 planes."""
+    zmask, xmask = MwpmDecoder(lay).decode_masks(syn)
+    return mask_bits(xmask, lay.n_data), mask_bits(zmask, lay.n_data)
 
 
 def _pair_mask(tab, comp, pair):
@@ -145,8 +153,10 @@ def test_python_matcher_pairs_equal_subset_dp_on_lattice_components():
 
 def test_zero_syndrome_identity_correction():
     lay = build_layout(5)
-    corr = decode_mwpm(lay, Syndrome(np.zeros(24, np.uint8)))
-    assert not corr.x_bits.any() and not corr.z_bits.any()
+    cx, cz = _correction(lay, np.zeros(24, np.uint8))
+    assert not cx.any() and not cz.any()
+    lz, lx = MwpmDecoder(lay).cut_parities_batch(np.zeros((3, 24), np.uint8))
+    assert not lz.any() and not lx.any()
 
 
 def test_boundary_adjacent_defect_gets_single_qubit_correction():
@@ -157,13 +167,13 @@ def test_boundary_adjacent_defect_gets_single_qubit_correction():
     x[0] = 1
     syn = compute_syndrome_bits(lay, x, np.zeros(9, np.uint8))[0]
     assert syn.sum() == 1
-    corr = decode_mwpm(lay, Syndrome(syn))
-    assert corr.x_bits.sum() + corr.z_bits.sum() == 1
+    cx, cz = _correction(lay, syn)
+    assert cx.sum() + cz.sum() == 1
 
 
 @pytest.mark.parametrize("d", (3, 5, 7, 9))
 def test_syndrome_consistency(d):
-    """compute_syndrome(decode(s)) = s: exhaustive at d=3, sampled
+    """The syndrome of the correction of s is s: exhaustive at d=3, sampled
     elsewhere (syndromes of depolarizing errors at p = 0.1)."""
     lay = build_layout(d)
     if d == 3:
@@ -173,8 +183,7 @@ def test_syndrome_consistency(d):
         xb, zb = sample_depolarizing_bits(lay, 0.1, 77, 3, 0, n)
         syn = compute_syndrome_bits(lay, xb, zb)
     for row in syn:
-        corr = decode_mwpm(lay, Syndrome(row))
-        back = compute_syndrome_bits(lay, corr.x_bits, corr.z_bits)[0]
+        back = compute_syndrome_bits(lay, *_correction(lay, row))[0]
         assert np.array_equal(back, row)
 
 
@@ -210,11 +219,8 @@ def test_all_single_pauli_errors_corrected_at_d3():
             if pauli in ("y", "z"):
                 z[q] = 1
             syn = compute_syndrome_bits(lay, x, z)[0]
-            corr = decode_mwpm(lay, Syndrome(syn))
-            residual_x = x ^ corr.x_bits
-            residual_z = z ^ corr.z_bits
-            cls = logical_class(lay, residual_x, residual_z)
-            assert (cls.lx, cls.lz) == (0, 0), (q, pauli)
+            cx, cz = _correction(lay, syn)
+            assert logical_class(lay, x ^ cx, z ^ cz) == (0, 0), (q, pauli)
 
 
 def test_decoder_caching_consistent_with_decode():
@@ -223,11 +229,8 @@ def test_decoder_caching_consistent_with_decode():
     xb, zb = sample_depolarizing_bits(lay, 0.15, 5, 1, 0, 500)
     syn = compute_syndrome_bits(lay, xb, zb)
     lz, lx = dec.cut_parities_batch(syn)
-    from scdec.lattice import cut_parities
-
     for i in range(syn.shape[0]):
-        corr = decode_mwpm(lay, Syndrome(syn[i]))
-        clx, clz = cut_parities(lay, corr.x_bits, corr.z_bits)
+        clx, clz = cut_parities(lay, *_correction(lay, syn[i]))
         assert (int(clx), int(clz)) == (int(lx[i]), int(lz[i]))
 
 
@@ -376,7 +379,7 @@ def test_batch_dp_equals_match_component_on_every_component():
     gets the cut parity (batch DP) and the correction mask (single-shot
     traceback) of the reference matcher's pair array: every size from 2 to
     22 and some above."""
-    from scdec.mwpm import _corr_mask, _parities
+    from scdec.mwpm import _corr_masks, _parities
 
     sizes = set()
     for d, eps, n in _ORACLE_SAMPLES:
@@ -389,7 +392,7 @@ def test_batch_dp_equals_match_component_on_every_component():
             got = _parities(tab, np.array(comps, dtype=np.uint64))
             assert got.tolist() == [(m & tab.cut_mask).bit_count() & 1
                                     for m in want], (d, eps)
-            assert [_corr_mask(tab, c) for c in comps] == want, (d, eps)
+            assert [_corr_masks([(tab, c)])[0] for c in comps] == want, (d, eps)
             sizes.update(c.bit_count() for c in comps)
     assert set(range(2, 23)) <= sizes and max(sizes) > 22
 
@@ -400,7 +403,7 @@ def test_batch_dp_keeps_the_tie_rule_on_random_instances():
     the batch DP and of the single-shot traceback must be the reference
     matcher's: boundary first, then partners in ascending order, first
     strict improvement."""
-    from scdec.mwpm import _corr_mask, _parities, _type_tables
+    from scdec.mwpm import _corr_masks, _parities, _type_tables
 
     rng = np.random.default_rng(41)
     for k in range(2, 13):
@@ -415,7 +418,7 @@ def test_batch_dp_keeps_the_tie_rule_on_random_instances():
             want = [_reference_mask(tab, _bits(key)) for key in keys.tolist()]
             got = _parities(tab, keys)
             assert got.tolist() == [(m & cut).bit_count() & 1 for m in want], (k, trial)
-            assert [_corr_mask(tab, key) for key in keys.tolist()] == want, (k, trial)
+            assert [_corr_masks([(tab, key)])[0] for key in keys.tolist()] == want, (k, trial)
 
 
 def test_shadow_pruning_keeps_the_tie_rule_on_random_metrics():
@@ -427,7 +430,7 @@ def test_shadow_pruning_keeps_the_tie_rule_on_random_metrics():
     subsets."""
     import dataclasses
 
-    from scdec.mwpm import _corr_mask, _levels, _parities, _shadowed, _type_tables
+    from scdec.mwpm import _corr_masks, _levels, _parities, _shadowed, _type_tables
 
     rng = np.random.default_rng(43)
     skipped = reached = unpruned = 0
@@ -439,7 +442,7 @@ def test_shadow_pruning_keeps_the_tie_rule_on_random_metrics():
             want = [_reference_mask(tab, _bits(key)) for key in keys.tolist()]
             got = _parities(tab, keys)
             assert got.tolist() == [(m & cut).bit_count() & 1 for m in want], (k, trial)
-            assert [_corr_mask(tab, key) for key in keys.tolist()] == want, (k, trial)
+            assert [_corr_masks([(tab, key)])[0] for key in keys.tolist()] == want, (k, trial)
             sets = shadow_sets(dist, bnd)
             pairs = keys[np.array([key.bit_count() > 1 for key in keys.tolist()])]
             levels = _levels(tab, pairs)[0]
@@ -541,7 +544,7 @@ def test_merged_batch_equals_per_sector_parities(d, eps, n):
     single-shot correction mask.  At d=9, eps=0.3 the batch holds
     components of more than 22 defects."""
     from scdec.lattice import ANC_Z
-    from scdec.mwpm import (_corr_mask, _pack_bits, _parities,
+    from scdec.mwpm import (_corr_masks, _pack_bits, _parities,
                             _sector_paths, _split_components, _tables,
                             _type_tables)
 
@@ -553,7 +556,7 @@ def test_merged_batch_equals_per_sector_parities(d, eps, n):
     for tab, keys, got in ((tx, _pack_bits(syn[:, :nx]), lz),
                            (tz, _pack_bits(syn[:, nx:]), lx)):
         assert got.tolist() == _parities(tab, keys).tolist()
-        assert got.tolist() == [(_corr_mask(tab, key) & tab.cut_mask).bit_count() & 1
+        assert got.tolist() == [(_corr_masks([(tab, key)])[0] & tab.cut_mask).bit_count() & 1
                                 for key in keys.tolist()]
     if eps == 0.3:
         _, comps = _split_components(_pack_bits(syn[:, nx:]), tz.or_tab)
@@ -714,12 +717,9 @@ def test_pack_bits_equals_python_int_keys():
 
 def _per_row_parities(lay, syn):
     """(lz, lx) of each row decoded alone through ``decode_masks``."""
-    from scdec.lattice import cut_parities
-
     out = []
     for row in syn:
-        corr = decode_mwpm(lay, Syndrome(row))
-        lx, lz = cut_parities(lay, corr.x_bits, corr.z_bits)
+        lx, lz = cut_parities(lay, *_correction(lay, row))
         out.append((int(lz), int(lx)))
     return out
 
@@ -879,5 +879,8 @@ def test_decoding_imports_no_networkx(monkeypatch):
 
 def test_decode_size_mismatch():
     lay = build_layout(3)
-    with pytest.raises(ValueError):
-        decode_mwpm(lay, Syndrome(np.zeros(24, np.uint8)))
+    dec = MwpmDecoder(lay)
+    with pytest.raises(ValueError, match="different layout"):
+        dec.decode_masks(np.zeros(24, np.uint8))
+    with pytest.raises(ValueError, match="different layout"):
+        dec.cut_parities_batch(np.zeros((2, 24), np.uint8))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scdec.lattice import LogicalClass, build_layout, rotate_syndrome
+from scdec.eval import NNFloatDecoder
+from scdec.lattice import build_layout
 from scdec.nn import (
     BaseWeights,
     NetworkConfig,
@@ -13,18 +14,15 @@ from scdec.nn import (
     QuantizedWeights,
     Weights,
     expand_rotated,
-    forward_fixed,
     forward_fixed_batch,
-    forward_float,
     forward_float_batch,
     load_checkpoint,
     quantize_array,
     quantize_weights,
     save_checkpoint,
-    transfer,
-    transfer_deriv,
 )
 from scdec._kernels import _pykernels
+from scdec.nn.forward import transfer_and_slope
 from scdec.nn.quantize import grid_levels
 from scdec.nn.rotated import _anc_perms
 from scdec.train import init_weights
@@ -33,6 +31,7 @@ from oracles import (
     dense_forward,
     fixed_forward_bigint,
     reg_quantized,
+    rotate_syndrome,
     sqnl_deriv_where,
     sqnl_where,
 )
@@ -52,6 +51,21 @@ def _random_weights(cfg, seed):
 
 
 # ------------------------------------------------------------- transfer --
+
+def _at(fn, x):
+    """``transfer_and_slope`` of a float64 copy of ``x``, each result shaped
+    as ``x`` (a scalar for a scalar)."""
+    a = np.array(x, dtype=np.float64, ndmin=1)
+    return [r.reshape(np.shape(x))[()] for r in transfer_and_slope(fn, a)]
+
+
+def transfer(fn, x):
+    return _at(fn, x)[0]
+
+
+def transfer_deriv(fn, x):
+    return _at(fn, x)[1]
+
 
 def test_transfer_values():
     assert transfer("sqnl", 0.5) == pytest.approx(0.75)
@@ -111,8 +125,9 @@ def test_zero_weights_classify_identity():
     cfg = NetworkConfig(d=3, n1=4, n2=4)
     w = Weights(np.zeros((4, 8)), np.zeros(4), np.zeros((4, 4)), np.zeros(4),
                 np.zeros((2, 4)), np.zeros(2))
-    yx, yz, cls = forward_float(cfg, w, np.ones(8, np.uint8))
-    assert yx == 0.0 and yz == 0.0 and cls == LogicalClass(0, 0)
+    out = forward_float_batch(cfg, w, np.ones((1, 8), np.uint8))
+    assert out.tolist() == [[0.0, 0.0]]
+    assert NNFloatDecoder(cfg, w).predict(np.ones((1, 8), np.uint8)).tolist() == [[0, 0]]
 
 
 def test_single_chain_toy_net_sqnl():
@@ -123,10 +138,10 @@ def test_single_chain_toy_net_sqnl():
         w2=np.array([[1.0]]), b2=np.zeros(1),
         wout=np.array([[1.0], [0.0]]), bout=np.zeros(2),
     )
-    s = np.zeros(8, np.uint8)
-    s[0] = 1
-    yx, yz, cls = forward_float(cfg, w, s)
-    assert yx == 1.0 and yz == 0.0 and cls == LogicalClass(1, 0)
+    s = np.zeros((1, 8), np.uint8)
+    s[0, 0] = 1
+    assert forward_float_batch(cfg, w, s).tolist() == [[1.0, 0.0]]
+    assert NNFloatDecoder(cfg, w).predict(s).tolist() == [[1, 0]]
 
 
 @pytest.mark.parametrize("fn", ("tanh", "relu", "sqnl"))
@@ -134,9 +149,8 @@ def test_forward_matches_dense_oracle(fn):
     cfg = NetworkConfig(d=3, n1=4, n2=4, transfer=fn)
     w = _random_weights(cfg, seed=hash(fn) % 1000)
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        s = rng.integers(0, 2, size=8, dtype=np.uint8)
-        yx, yz, _ = forward_float(cfg, w, s)
+    syn = rng.integers(0, 2, size=(20, 8), dtype=np.uint8)
+    for s, (yx, yz) in zip(syn, forward_float_batch(cfg, w, syn)):
         ox, oz = dense_forward(w, s.astype(float), fn)
         assert abs(yx - ox) < 1e-12 and abs(yz - oz) < 1e-12
 
@@ -145,10 +159,10 @@ def test_forward_rejects_bad_shapes_and_nan():
     cfg = NetworkConfig(d=3, n1=4, n2=4)
     w = _random_weights(cfg, 0)
     with pytest.raises(ValueError):
-        forward_float(cfg, w, np.zeros(7, np.uint8))
+        forward_float_batch(cfg, w, np.zeros((1, 7), np.uint8))
     w.w1[0, 0] = np.nan
     with pytest.raises(ValueError):
-        forward_float(cfg, w, np.zeros(8, np.uint8))
+        NNFloatDecoder(cfg, w)
 
 
 # ------------------------------------------------------------- rotated --
@@ -318,17 +332,17 @@ def test_fixed_zero_weights():
                           np.zeros((4, 4), np.int64), np.zeros(4, np.int64),
                           np.zeros((2, 4), np.int64), np.zeros(2, np.int64),
                           spec=spec)
-    assert forward_fixed(cfg, qw, np.ones(8, np.uint8)) == (0, 0)
+    assert forward_fixed_batch(cfg, qw, np.ones((1, 8), np.uint8)).tolist() == [[0, 0]]
 
 
 def test_fixed_requires_quant_spec_and_supported_transfer():
     spec = QuantSpec(5)
     qw = _random_qweights(NetworkConfig(d=3, n1=4, n2=4), spec, 0)
     with pytest.raises(ValueError):
-        forward_fixed(NetworkConfig(d=3, n1=4, n2=4), qw, np.zeros(8, np.uint8))
+        forward_fixed_batch(NetworkConfig(d=3, n1=4, n2=4), qw, np.zeros((1, 8), np.uint8))
     cfg = NetworkConfig(d=3, n1=4, n2=4, transfer="tanh", quant=spec)
     with pytest.raises(ValueError, match="no fixed-point datapath for transfer 'tanh'"):
-        forward_fixed(cfg, qw, np.zeros(8, np.uint8))
+        forward_fixed_batch(cfg, qw, np.zeros((1, 8), np.uint8))
 
 
 def test_fixed_rejects_off_grid_weights():
@@ -337,7 +351,7 @@ def test_fixed_rejects_off_grid_weights():
     qw = _random_qweights(cfg, spec, 1)
     qw.w1[0, 0] = 100  # outside the 3-bit grid
     with pytest.raises(ValueError):
-        forward_fixed(cfg, qw, np.zeros(8, np.uint8))
+        forward_fixed_batch(cfg, qw, np.zeros((1, 8), np.uint8))
 
 
 def test_sqnl_fixed_close_to_real_exhaustive():
@@ -380,8 +394,9 @@ def test_power_of_two_net_fixed_matches_float_class():
         if not ok:
             continue
         checked += 1
-        _, _, cls = forward_float(cfg, w, s)
-        assert (cls.lx, cls.lz) == forward_fixed(cfg, quantize_weights(w, spec), s)
+        want = (forward_float_batch(cfg, w, s[None]) > 0.0).astype(np.uint8)
+        got = forward_fixed_batch(cfg, quantize_weights(w, spec), s[None])
+        assert got.tolist() == want.tolist()
     assert checked > 100  # the construction must actually exercise the claim
 
 

@@ -121,9 +121,10 @@ def test_zero_gradient_at_exact_fit():
 
 
 def test_sqnl_derivative_value():
-    from scdec.nn import transfer_deriv
+    from scdec.nn.forward import transfer_and_slope
 
-    assert transfer_deriv("sqnl", 0.5) == pytest.approx(1.0)
+    _, slope = transfer_and_slope("sqnl", np.array([0.5]))
+    assert slope.tolist() == [pytest.approx(1.0)]
 
 
 @pytest.mark.parametrize("transfer", ("tanh", "relu", "sqnl"))
