@@ -40,6 +40,9 @@ Z999 = 3.2905267314919255
 # Most shots in one shard of ``benchmark``
 _CHUNK = 1 << 14
 
+# Most shots in one calling-thread step of a two-step decoder (``benchmark``)
+_WINDOW = 1 << 16
+
 # Header of a curve CSV (write_points_csv)
 CURVE_COLUMNS = ("distance", "decoder", "eps_p", "eps_l", "shots", "variance")
 
@@ -78,16 +81,31 @@ class TrivialDecoder:
 
 
 class MwpmBenchmarkDecoder:
-    """Minimum-weight matching as a class predictor in the common frame."""
+    """Minimum-weight matching as a class predictor in the common frame.
+
+    Its matching DP is thousands of short numpy calls that hold the GIL, so
+    it offers ``predict`` as two steps (see ``benchmark``): ``prepare``,
+    which packs defect keys and runs the PED, and ``classes``, which runs
+    the DP."""
 
     def __init__(self, layout: Layout):
         self.layout = layout
         self._dec = MwpmDecoder(layout)
 
     def predict(self, syn: np.ndarray) -> np.ndarray:
-        lz_m, lx_m = self._dec.cut_parities_batch(syn)
+        return self.classes(*self.prepare(syn))
+
+    def prepare(self, syn: np.ndarray):
+        """``(keys, ped)`` of a syndrome batch, shots on the last axis: the
+        (2, n) uint64 X- and Z-sector defect keys and the (2, n) uint8 PED
+        cut parities (lz, lx) their matchings' parities are XORed with."""
         lx_p, lz_p = ped.decode_cut_parities(self.layout, syn)
-        return np.stack([lx_m ^ lx_p, lz_m ^ lz_p], axis=1).astype(np.uint8)
+        return self._dec.keys(syn), np.stack([lz_p, lx_p])
+
+    def classes(self, keys: np.ndarray, ped_bits: np.ndarray) -> np.ndarray:
+        """(n, 2) class bits of prepared shots, as ``predict`` gives them."""
+        lz, lx = self._dec.key_parities(keys) ^ ped_bits
+        return np.stack([lx, lz], axis=1)
 
 
 class NNFloatDecoder:
@@ -103,8 +121,8 @@ class NNFloatDecoder:
 
 class NNFixedDecoder:
     def __init__(self, cfg: NetworkConfig, qweights: QuantizedWeights):
-        # a tanh net, a spec mismatch or an off-grid weight fails here,
-        # before any shot
+        # a tanh net, a spec mismatch, a mis-shaped array or an off-grid
+        # weight fails here, before any shot
         fixed_nonlinearity(cfg.transfer)
         if cfg.quant is None:
             cfg = NetworkConfig(cfg.d, cfg.n1, cfg.n2, cfg.transfer,
@@ -112,7 +130,7 @@ class NNFixedDecoder:
         elif qweights.spec != cfg.quant:
             raise ValueError(f"weights quantized for {qweights.spec}, "
                              f"config wants {cfg.quant}")
-        qweights.validate()
+        qweights.validate(cfg)
         self.cfg = cfg
         self.qweights = qweights
 
@@ -157,43 +175,59 @@ def benchmark(decoder, layout: Layout, eps_list, shots: int, seed: int):
     stream ``EVAL_STREAM_BASE + i``, so results are independent of how the
     shots are split.  The call's shots are cut, in point order, into shards
     of at most ``_CHUNK`` shots (``_shards``); a shard may span points, and
-    each runs its decoder once on the worker threads of
-    :func:`scdec._threads.pool`.  Failure counts are summed per point, in
-    shard order.  Spanning points lets a decoder with a fixed cost per call,
-    such as the MWPM DP, make fewer and larger calls on short points.
+    each is sampled on the worker threads of :func:`scdec._threads.pool`.
+    Failure counts are summed per point, in shot order.
+
+    A decoder that offers ``predict`` as two steps, ``prepare`` and
+    ``classes`` (:class:`MwpmBenchmarkDecoder`), holds the GIL in its second
+    step, so a second thread would not run it any faster.  The workers then
+    run ``prepare`` on their shards, and the calling thread joins the
+    prepared shots into windows of ``_WINDOW`` and runs ``classes`` once per
+    window (``_windows``).  While it does, the workers sample the shards that
+    follow, and fewer, larger calls share more of their work, such as MWPM
+    defect keys.  Every other decoder predicts each shard on its worker.
     """
     eps_list = check_settings(eps_list, shots, seed)
     failures = [0] * len(eps_list)
-    count = partial(_shard_failures, decoder, layout, eps_list, seed)
+    shards = _shards(len(eps_list), shots)
+    two_step = hasattr(decoder, "classes")
+    step = _shard_prepared if two_step else _shard_failures
+    work = partial(step, decoder, layout, eps_list, seed)
     with _threads.pool() as ex:
-        for runs in ex.map(count, _shards(len(eps_list), shots)):
+        done = ex.map(work, shards)
+        if two_step:
+            done = _windows(decoder, done, shots)
+        for runs in done:
             for i, bad in runs:
                 failures[i] += bad
     return [BenchmarkPoint.from_counts(eps, f, shots)
             for eps, f in zip(eps_list, failures)]
 
 
+def _runs(start: int, stop: int, shots: int) -> list:
+    """Runs ``(i, shot0, n)`` of the call's shots ``start`` to ``stop`` in
+    point order: the ``n`` shots from ``shot0`` of point ``i``."""
+    runs = []
+    while start < stop:
+        i, shot0 = divmod(start, shots)
+        n = min(stop - start, shots - shot0)
+        runs.append((i, shot0, n))
+        start += n
+    return runs
+
+
 def _shards(n_points: int, shots: int):
     """The ``n_points * shots`` shots of a call in point order, cut into
-    shards of ``_CHUNK``: each shard a list of runs ``(i, shot0, n)``, the
-    ``n`` shots from ``shot0`` of point ``i``."""
+    shards of ``_CHUNK``: each shard a list of :func:`_runs`."""
     total = n_points * shots
     for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        runs = []
-        while start < stop:
-            i, shot0 = divmod(start, shots)
-            n = min(stop - start, shots - shot0)
-            runs.append((i, shot0, n))
-            start += n
-        yield runs
+        yield _runs(start, min(start + _CHUNK, total), shots)
 
 
-def _shard_failures(decoder, layout: Layout, eps_list, seed: int, runs):
-    """``(i, failures)`` of each run ``(i, shot0, n)`` of one shard.
-
-    Each run is sampled from its own point's stream; the decoder predicts
-    the shard's syndromes in one call."""
+def _sample(layout: Layout, eps_list, seed: int, runs):
+    """``(syn, target)`` of the shots of ``runs``: each run sampled from its
+    own point's stream, the (n, n_anc) syndromes and (2, n) target bits
+    (lx, lz) joined in run order."""
     syns, targets = [], []
     for i, shot0, n in runs:
         x, z = sample_depolarizing_bits(layout, eps_list[i], seed,
@@ -201,14 +235,60 @@ def _shard_failures(decoder, layout: Layout, eps_list, seed: int, runs):
         syn = compute_syndrome_bits(layout, x, z)
         syns.append(syn)
         targets.append(target_bits(layout, x, z, syn))
+    target = np.concatenate([np.stack(t) for t in targets], axis=1)
     if len(runs) == 1:
-        syn, (tx, tz) = syns[0], targets[0]
-    else:
-        # joined along the shots of the kernels' ancilla-major layout
-        syn = np.concatenate([s.T for s in syns], axis=1).T
-        tx, tz = (np.concatenate(t) for t in zip(*targets))
-    pred = decoder.predict(syn)
-    bad = (pred[:, 0] != tx) | (pred[:, 1] != tz)
+        return syns[0], target
+    # joined along the shots of the kernels' ancilla-major layout
+    return np.concatenate([s.T for s in syns], axis=1).T, target
+
+
+def _shard_failures(decoder, layout: Layout, eps_list, seed: int, runs):
+    """``(i, failures)`` of each run ``(i, shot0, n)`` of one shard; the
+    decoder predicts the shard's syndromes in one call."""
+    syn, target = _sample(layout, eps_list, seed, runs)
+    return _run_failures(runs, decoder.predict(syn), target)
+
+
+def _shard_prepared(decoder, layout: Layout, eps_list, seed: int, runs):
+    """The worker step of a two-step decoder: the arrays of
+    ``decoder.prepare`` for one shard's syndromes, then its (2, n) target
+    bits, each with the shots on its last axis."""
+    syn, target = _sample(layout, eps_list, seed, runs)
+    return (*decoder.prepare(syn), target)
+
+
+def _windows(decoder, prepared, shots: int):
+    """``(i, failures)`` runs of each window of ``_WINDOW`` consecutive shots
+    (the last shorter) of the shards ``prepared``; ``decoder.classes`` runs
+    once per window."""
+    start = 0
+    for *steps, target in _rechunk(prepared, _WINDOW):
+        stop = start + target.shape[-1]
+        yield _run_failures(_runs(start, stop, shots), decoder.classes(*steps),
+                            target)
+        start = stop
+
+
+def _rechunk(parts, size: int):
+    """The tuples of arrays ``parts``, joined along their last axis and cut
+    into consecutive tuples of ``size`` along it (the last shorter)."""
+    held, n = [], 0
+    for part in parts:
+        held.append(part)
+        n += part[0].shape[-1]
+        while n >= size:
+            joined = [np.concatenate(a, axis=-1) for a in zip(*held)]
+            held = [tuple(a[..., size:] for a in joined)]
+            n -= size
+            yield tuple(a[..., :size] for a in joined)
+    if n:
+        yield tuple(np.concatenate(a, axis=-1) for a in zip(*held))
+
+
+def _run_failures(runs, pred: np.ndarray, target: np.ndarray):
+    """``(i, failures)`` of each run of ``runs``, whose shots have predicted
+    (n, 2) and target (2, n) class bits, in run order."""
+    bad = (pred[:, 0] != target[0]) | (pred[:, 1] != target[1])
     ends = np.cumsum([n for _, _, n in runs])
     return [(i, int(np.count_nonzero(bad[end - n:end])))
             for (i, _, n), end in zip(runs, ends.tolist())]

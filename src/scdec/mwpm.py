@@ -34,13 +34,17 @@ matched one by one (``_split_components``).  A lone defect takes its
 boundary route; every component of 2 or more defects goes to one
 level-by-level subset DP (``_levels``) of those keys, which reaches only
 the subsets left after shadowed partners are skipped.  Batch decoding
-(``cut_parities_batch``) packs both sectors' keys of a batch into one
-``_parities`` call: one dedupe, one component split and one DP, halved
-while it reaches more than ``_SLICE_SUBSETS`` subsets, whose parities are
-split back into the two sectors.  The cut parity of a matching
-is the XOR of one precomputed bit per path, so it never builds a correction
-mask.  Key sets are sorted, popcounts taken and bytes looked up in whole
-numpy passes (``_dedupe``, ``np.bitwise_count``, ``_octets``).
+takes two steps.  ``keys`` packs both sectors' defect keys of a syndrome
+batch with exact float32 BLAS products (``_pack_bits``); ``key_parities``
+sends any number of such keys through one ``_parities`` call: one dedupe,
+one component split and one DP, halved while it reaches more than
+``_SLICE_SUBSETS`` subsets.  ``cut_parities_batch`` is the two in turn;
+``scdec.eval.benchmark`` runs the first on its worker threads and the
+second on the calling thread, over the keys of several shards at once.
+The cut parity of a matching is the XOR of one precomputed bit per path,
+so it never builds a correction mask.  Key sets are sorted, popcounts
+taken and bytes looked up in whole numpy passes (``_dedupe``,
+``np.bitwise_count``, ``_octets``).
 Single-shot decoding (``decode_masks``) runs one DP over both sectors'
 components and follows each component's recorded choices back down its
 levels (``_trace``), XORing the paths' data-qubit masks of its own sector.
@@ -233,17 +237,17 @@ def _or_table(keys: np.ndarray, byte_bits: np.ndarray) -> np.ndarray:
 # 8,421 (tests/test_mwpm.py checks the per-level limit).  At its peak a
 # DP holds about 50 bytes per reached subset (each level's references are
 # dropped once deduplicated; inverses and partner rows are int32, partners
-# and lowest defects uint8), so about 3 MiB at this cap, and two worker
-# threads may each hold one.  The cap is set from peak RSS of whole
-# ``scdec eval --decoder mwpm`` runs (2-vCPU x86-64 host, CPython 3.11,
-# numpy 2.4, 16,384-shot shards, two worker threads): caps of 2^15, 2^16
-# and 2^17 ran the default d=9 grid at 3,000 shots in 1.6, 1.3 and 1.1 s
-# at 49, 52 and 59 MiB, and the default d=11 grid at 2,000 shots in 7.4,
-# 5.5 and 4.4 s at 52, 56 and 65 MiB, against 2.4 s at 55 MiB and 39 s at
-# 53 MiB when slices were cut by the F(n + 2) bound.  The two costliest
-# shards of the d=7 curve that ``perfbench``'s ``mwpm-d7`` runs reach 40k
-# to 43k subsets, so below 2^16 each would give up once.
-_SLICE_SUBSETS = 1 << 16
+# and lowest defects uint8), so about 6 MiB at this cap.  One DP runs at a
+# time, on the thread that calls ``scdec.eval.benchmark``, so this is the
+# memory two worker threads took with a cap of 2^16 each.  The cap is set
+# from whole ``scdec eval --decoder mwpm`` runs (2-vCPU x86-64 host,
+# CPython 3.11, numpy 2.4, 65,536-shot windows): caps of 2^16, 2^17 and
+# 2^18 ran the default d=9 grid at 3,000 shots in 0.74, 0.69 and 0.66 s at
+# 47, 52 and 62 MiB peak RSS, and the default d=11 grid at 2,000 shots in
+# 3.8, 3.5 and 3.5 s at 48, 54 and 64 MiB.  The one window of
+# ``perfbench``'s ``mwpm-d7`` call reaches 71k subsets, so under 2^17 it
+# would give up once: a call took 47 ms at 2^16 against 39 ms at 2^17.
+_SLICE_SUBSETS = 1 << 17
 
 
 def _parities(t: _TypeTables, keys: np.ndarray) -> np.ndarray:
@@ -517,38 +521,52 @@ class MwpmDecoder:
     def decode_masks(self, syn_bits: np.ndarray):
         """(z_plane_mask, x_plane_mask) bit-ints for one syndrome; bit ``i``
         of a mask is data qubit ``i``."""
-        key_x, key_z = (int(k[0]) for k in self._keys(np.asarray(syn_bits)[None, :]))
+        key_x, key_z = self.keys(np.asarray(syn_bits)[None, :])[:, 0].tolist()
         # X defects -> Z corrections, Z defects -> X corrections
         zmask, xmask = _corr_masks([(self._tx, key_x), (self._tz, key_z)])
         return zmask, xmask
 
     def cut_parities_batch(self, syn: np.ndarray):
-        """(lz, lx) correction cut parities for a syndrome batch.
+        """(lz, lx) correction cut parities for a syndrome batch: those of
+        its X- and Z-sector keys (``key_parities(keys(syn))``).
 
         ``lz`` comes from the Z-plane corrections (X-ancilla matchings) and
-        ``lx`` from the X-plane corrections.  Both sectors' keys go through
-        one ``_parities`` call on the shared DP tables.
+        ``lx`` from the X-plane corrections.
         """
-        par = _parities(self._tx, np.concatenate(self._keys(syn)))
-        return par[:len(syn)], par[len(syn):]
+        lz, lx = self.key_parities(self.keys(syn))
+        return lz, lx
 
-    def _keys(self, syn: np.ndarray):
-        """X- and Z-sector defect keys of a syndrome batch."""
+    def keys(self, syn: np.ndarray) -> np.ndarray:
+        """(2, n) uint64 defect keys of a syndrome batch: the X sector's
+        row, then the Z sector's."""
         if syn.shape[-1] != self.layout.n_anc:
             raise ValueError("syndrome sized for a different layout")
         nx = self.layout.n_anc_x
-        return _pack_bits(syn[:, :nx]), _pack_bits(syn[:, nx:])
+        return np.stack([_pack_bits(syn[:, :nx]), _pack_bits(syn[:, nx:])])
+
+    def key_parities(self, keys: np.ndarray) -> np.ndarray:
+        """uint8 cut parity of the minimum-weight correction of each defect
+        key of either sector, shaped as ``keys``.  Every key goes through
+        one ``_parities`` call on the shared DP tables."""
+        return _parities(self._tx, keys.reshape(-1)).reshape(keys.shape)
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Rows of up to 64 bits packed into uint64 keys; any nonzero entry is 1.
+    """Rows of up to 64 bits packed into uint64 keys, column j at bit j; any
+    nonzero entry of a bool or unsigned array is 1.
 
-    Column j is ORed in at bit j, so the transposed views that the numpy
-    ``syndrome_bits`` returns are read one contiguous column at a time."""
+    Each block of up to 24 columns is one float32 BLAS product of its 0/1
+    entries with their powers of two.  Every partial sum of distinct powers
+    of two below 2^24 fits float32's mantissa, so the product is exact in
+    any summation order.  Float64 products of up to 53 columns would take
+    twice the memory: 5 MiB a sector of a 16,384-shot d=9 shard."""
     n = bits.shape[1]
     if n > _KEY_BITS:
         raise ValueError(f"defect pattern wider than {_KEY_BITS} bits")
     keys = np.zeros(len(bits), dtype=np.uint64)
-    for j in range(n):
-        keys |= (bits[:, j] != 0).astype(np.uint64) << np.uint64(j)
+    for j in range(0, n, 24):
+        ones = np.minimum(bits[:, j:j + 24], 1, dtype=np.float32)
+        powers = np.ldexp(np.ones(ones.shape[1], dtype=np.float32),
+                          np.arange(ones.shape[1]))
+        keys |= (ones @ powers).astype(np.uint64) << np.uint64(j)
     return keys

@@ -209,13 +209,17 @@ class QuantizedWeights(_Params):
 
     spec: QuantSpec = field(default=None)
 
-    def validate(self) -> None:
+    def validate(self, cfg: NetworkConfig | None = None) -> None:
+        """Integer entries on the grid of ``spec``, shaped
+        ``cfg.param_shapes()`` when ``cfg`` is given."""
         for name in _FIELDS:
             arr = getattr(self, name)
             if arr.dtype.kind not in "iu":
                 raise ValueError(f"{name} must be integer, got {arr.dtype}")
             if arr.min(initial=0) < self.spec.min_int or arr.max(initial=0) > self.spec.max_int:
                 raise ValueError(f"{name} falls outside the {self.spec.bits}-bit grid")
+        if cfg is not None:
+            self._check_shapes(cfg, base=False)
 
 
 def save_checkpoint(path, cfg: NetworkConfig, weights=None, qweights=None,

@@ -500,6 +500,23 @@ def test_eval_bad_quantized_checkpoint_is_exit_3(tmp_path, capsys, no_sampling,
     assert not out.exists()
 
 
+def test_eval_misshaped_quantized_checkpoint_is_exit_3(tmp_path, capsys, no_sampling):
+    """A quantized-only checkpoint whose ``w1`` is 8x7 where the d=3 config
+    wants 8x8 exits 3 naming ``w1`` before a shot is sampled."""
+    from scdec.nn import NetworkConfig, QuantSpec, QuantizedWeights, save_checkpoint
+
+    cfg = NetworkConfig(d=3, n1=8, n2=4, transfer="sqnl", rotated=False)
+    arrays = {k: np.zeros(s, dtype=np.int64) for k, s in cfg.param_shapes().items()}
+    arrays["w1"] = np.zeros((8, 7), dtype=np.int64)
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, cfg, qweights=QuantizedWeights(**arrays, spec=QuantSpec(4)))
+    out = tmp_path / "c.csv"
+    code, _, err = run(["eval", "--checkpoint", str(ckpt), "--set", "shots=100",
+                        "--out", str(out)], capsys)
+    assert code == 3 and "w1 has shape (8, 7), expected (8, 8)" in err
+    assert not out.exists()
+
+
 def test_eval_missing_checkpoint_is_exit_4(tmp_path, capsys):
     code, _, err = run(["eval", "--checkpoint", str(tmp_path / "none.json"),
                         "--out", str(tmp_path / "c.csv")], capsys)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import scdec.eval as eval_mod
-from scdec import _threads, ped, train
+from scdec import _threads, mwpm, ped, train
 from scdec.cli import main
 from scdec.lattice import build_layout
 from scdec.nn import NetworkConfig, QuantSpec
@@ -143,21 +143,31 @@ def serial_curves(tmp_path_factory):
     return out
 
 
+# windows of the MWPM decoder's calling-thread step: the default, and 1,000
+# and 3,000 shots, which split the 16,384-shot shards, join several
+# 1,000-shot shards, and span points
+_WINDOWS = (eval_mod._WINDOW, 1000, 3000)
+
+
 @pytest.mark.parametrize("chunk, shots", _SPLITS)
 @pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
 def test_curves_do_not_depend_on_workers_or_shards(monkeypatch, tmp_path, serial_curves,
                                                    n_workers, chunk, shots):
     """8 workers is more threads than this host has CPUs; a short switch
-    interval interleaves the workers' bytecode as finely as it can."""
+    interval interleaves the workers' bytecode as finely as it can.  The
+    MWPM curves are also run at every window of ``_WINDOWS``."""
     monkeypatch.setattr(_threads, "workers", lambda: n_workers)
     monkeypatch.setattr(eval_mod, "_CHUNK", chunk)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for name, decoder, layout in _curve_cases():
-            points = benchmark(decoder, layout, _EPS, shots, seed=9)
-            assert (_csv_bytes(tmp_path / "curve.csv", points, layout, name)
-                    == serial_curves[name, shots])
+            two_step = isinstance(decoder, MwpmBenchmarkDecoder)
+            for window in _WINDOWS if two_step else _WINDOWS[:1]:
+                monkeypatch.setattr(eval_mod, "_WINDOW", window)
+                points = benchmark(decoder, layout, _EPS, shots, seed=9)
+                assert (_csv_bytes(tmp_path / "curve.csv", points, layout, name)
+                        == serial_curves[name, shots]), (name, window)
     finally:
         sys.setswitchinterval(interval)
 
@@ -225,6 +235,78 @@ def test_eval_exits_3_when_a_shard_raises(monkeypatch, tmp_path, capsys):
     code = main(["eval", "--decoder", "trivial", "-d", "3", "--set", "shots=100000",
                  "--out", str(out)])
     assert code == 3 and "shard 1 failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _FailingDp:
+    """Patches the MWPM DP to raise, and ``eval.sample_depolarizing_bits``
+    to record each shard it starts (``_CHUNK`` = 1,000, ``_WINDOW`` = 2,000
+    shots, so the DP first runs on shards 0 and 1)."""
+
+    def __init__(self, monkeypatch):
+        self.started = []       # (stream, shot0)
+        sample = eval_mod.sample_depolarizing_bits
+
+        def recording_sample(layout, eps, seed, stream, shot0, n):
+            self.started.append((stream, shot0))
+            return sample(layout, eps, seed, stream, shot0, n)
+
+        def failing_dp(tables, keys):
+            raise ValueError("the DP failed")
+
+        monkeypatch.setattr(eval_mod, "sample_depolarizing_bits", recording_sample)
+        monkeypatch.setattr(mwpm, "_parities", failing_dp)
+        monkeypatch.setattr(eval_mod, "_CHUNK", 1000)
+        monkeypatch.setattr(eval_mod, "_WINDOW", 2000)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_a_failing_window_stops_the_benchmark(monkeypatch, n_workers):
+    """A raise in the calling thread's DP cancels the queued shards: of 400,
+    only the ``2 * n_workers + 2`` the pool had been handed when the first
+    window's DP ran start, and the pool's threads are joined."""
+    monkeypatch.setattr(_threads, "workers", lambda: n_workers)
+    failing = _FailingDp(monkeypatch)
+    layout = build_layout(3)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="the DP failed"):
+        benchmark(MwpmBenchmarkDecoder(layout), layout, [0.1] * 4, 100_000, seed=0)
+    assert (EVAL_STREAM_BASE, 1000) in failing.started
+    assert len(failing.started) <= 2 * n_workers + 2
+    assert threading.active_count() == threads
+
+
+def test_eval_mwpm_exits_3_when_the_dp_raises(monkeypatch, tmp_path, capsys):
+    _FailingDp(monkeypatch)
+    out = tmp_path / "curve.csv"
+    code = main(["eval", "--decoder", "mwpm", "-d", "3", "--set", "shots=100000",
+                 "--out", str(out)])
+    assert code == 3 and "the DP failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _FirstShot(BaseException):
+    """Raised by the patched sampler; no handler of the CLI catches it."""
+
+
+def test_a_base_exception_stops_eval_mwpm_at_its_first_shot(monkeypatch, tmp_path):
+    """``eval.sample_depolarizing_bits`` patched to raise a BaseException, as
+    perfbench's set-up probe does, leaves ``scdec eval --decoder mwpm`` at
+    the first shot: shard 0 is sampled, and no worker starts a shard after
+    another has raised."""
+    calls = []
+
+    def first_shot(layout, eps, seed, stream, shot0, n):
+        calls.append((stream, shot0))
+        raise _FirstShot
+
+    monkeypatch.setattr(eval_mod, "sample_depolarizing_bits", first_shot)
+    out = tmp_path / "curve.csv"
+    with pytest.raises(_FirstShot):
+        main(["eval", "--decoder", "mwpm", "-d", "7", "--set", "shots=8192",
+              "--out", str(out)])
+    assert (EVAL_STREAM_BASE, 0) in calls
+    assert len(calls) <= _threads.workers()
     assert not out.exists()
 
 

@@ -715,6 +715,34 @@ def test_pack_bits_equals_python_int_keys():
         _pack_bits(np.ones((3, 65), dtype=np.uint8))
 
 
+def _or_loop_keys(bits):
+    """uint64 keys of the rows of ``bits``, column j ORed in at bit j: the
+    packer ``_pack_bits`` replaced."""
+    keys = np.zeros(len(bits), dtype=np.uint64)
+    for j in range(bits.shape[1]):
+        keys |= (bits[:, j] != 0).astype(np.uint64) << np.uint64(j)
+    return keys
+
+
+def test_pack_bits_matches_the_or_loop_packer():
+    """The BLAS packer gives the OR loop's keys bit for bit at every width
+    from 1 to 64, for random rows, all-ones rows, and d=11 syndromes of the
+    60-ancilla Z sector at three rates."""
+    from scdec.mwpm import _pack_bits
+
+    rng = np.random.default_rng(23)
+    for width in range(1, 65):
+        for bits in (rng.integers(0, 2, size=(500, width), dtype=np.uint8),
+                     np.ones((3, width), dtype=np.uint8)):
+            assert _pack_bits(bits).tolist() == _or_loop_keys(bits).tolist(), width
+    nx = build_layout(11).n_anc_x
+    for eps in (0.03, 0.1, 0.3):
+        _, syn = _sampled_syndromes(11, eps, 2000)
+        sector = syn[:, nx:]
+        assert sector.shape[1] == 60
+        assert _pack_bits(sector).tolist() == _or_loop_keys(sector).tolist()
+
+
 def _per_row_parities(lay, syn):
     """(lz, lx) of each row decoded alone through ``decode_masks``."""
     out = []
@@ -801,20 +829,21 @@ def test_batch_dp_slices_stay_within_their_bound(monkeypatch):
                if reached is not None)
 
 
-def test_d7_shards_take_one_dp_each(monkeypatch):
+def test_d7_window_takes_one_dp(monkeypatch):
     """The d=7 curve that ``perfbench``'s ``mwpm-d7`` workload runs, 8,192
-    shots at each eps of 0.04 to 0.12, cuts into three 16,384-shot or
-    smaller shards; each takes one ``_levels`` call within _SLICE_SUBSETS
-    (40k to 43k subsets for the two costliest)."""
+    shots at each eps of 0.04 to 0.12, is one window of three shards; its
+    keys take one ``_levels`` call within _SLICE_SUBSETS, which reaches
+    more than 2^16 subsets (71k, where the three shards' DPs reached 97k
+    between them)."""
     from scdec import eval as eval_mod, mwpm
 
     lay = build_layout(7)
     calls = _watch_levels(monkeypatch)
     eval_mod.benchmark(eval_mod.MwpmBenchmarkDecoder(lay), lay,
                        [0.04, 0.06, 0.08, 0.10, 0.12], 8192, 1)
-    assert len(calls) == 3, calls
-    assert all(reached is not None and reached <= mwpm._SLICE_SUBSETS
-               for _, reached, _ in calls), calls
+    assert len(calls) == 1, calls
+    reached = calls[0][1]
+    assert reached is not None and 1 << 16 < reached <= mwpm._SLICE_SUBSETS, calls
 
 
 def _widest_level(d, keys):
